@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__, analysis, codec, keying, latin, qgdb, tasim
 from .errors import NotANumber, OrderViolation, QGError, TooFewEntries
@@ -19,18 +18,9 @@ from .errors import NotANumber, OrderViolation, QGError, TooFewEntries
 
 # --- legacy inline keys --------------------------------------------------------
 
-@dataclass(frozen=True)
-class LegacyKey:
-    """Inline key syntax: the first two integers are the table orders,
-    the rest are the per-level indices."""
-
-    r: int
-    s: int
-    indices: tuple
-
-
-def parse_legacy_key(text: str) -> LegacyKey:
-    """Parse \"r, s, i1, i2, ...\" (whitespace around commas ignored)."""
+def parse_legacy_key(text: str) -> keying.KeyFrame:
+    """Parse \"r, s, i1, i2, ...\" (whitespace around commas ignored) into a
+    frame with orders r and s, those per-level indices and nonce 0."""
     entries = []
     for token in text.split(","):
         token = token.strip()
@@ -45,10 +35,11 @@ def parse_legacy_key(text: str) -> LegacyKey:
     if r >= s:
         raise OrderViolation(f"first order must be smaller than second "
                              f"(got r={r}, s={s})")
-    return LegacyKey(r=r, s=s, indices=tuple(entries[2:]))
+    return keying.KeyFrame(r=r, s=s, indices=tuple(entries[2:]), nonce=0)
 
 
-def _legacy_profile(base: qgdb.NetworkProfile, key: LegacyKey) -> qgdb.NetworkProfile:
+def _legacy_profile(base: qgdb.NetworkProfile,
+                    key: keying.KeyFrame) -> qgdb.NetworkProfile:
     """Adapt a profile to an inline key: level count and split follow the
     key's index count, and index_max widens to cover its indices."""
     k = len(key.indices)
@@ -60,11 +51,6 @@ def _legacy_profile(base: qgdb.NetworkProfile, key: LegacyKey) -> qgdb.NetworkPr
         split=math.ceil(k / 2),
         index_max=max(base.index_max, max(key.indices)),
     )
-
-
-def _legacy_frame(key: LegacyKey, nonce: int) -> keying.KeyFrame:
-    return keying.KeyFrame(r=key.r, s=key.s, indices=key.indices,
-                           nonce=nonce, issued_at=0)
 
 
 # --- small I/O helpers ----------------------------------------------------------
@@ -158,9 +144,9 @@ def cmd_decrypt(args):
     profile, raw = _load_profile(args)
     if args.text:
         if args.key:
-            legacy = parse_legacy_key(args.key)
-            profile = _legacy_profile(profile, legacy)
-            frame = _legacy_frame(legacy, args.nonce)
+            frame = dataclasses.replace(parse_legacy_key(args.key),
+                                        nonce=args.nonce)
+            profile = _legacy_profile(profile, frame)
         elif args.frame:
             frame, _ = keying.load_frame(args.frame)
         else:
@@ -243,9 +229,8 @@ def cmd_qg_dump(args):
 
 def cmd_legacy_encrypt(args):
     base, _ = _load_profile(args)
-    legacy = parse_legacy_key(args.key)
-    profile = _legacy_profile(base, legacy)
-    frame = _legacy_frame(legacy, args.nonce)
+    frame = dataclasses.replace(parse_legacy_key(args.key), nonce=args.nonce)
+    profile = _legacy_profile(base, frame)
     key = keying.derive_hidden_key(profile, frame)
     alphabet = codec.get_alphabet(args.alphabet)
     plain = codec.text_to_symbols(_read_text(args.infile), alphabet)
@@ -254,9 +239,9 @@ def cmd_legacy_encrypt(args):
         "# legacy inline-key mode: tables come from this package's seeded\n"
         "# generator, so this output is implementation-specific and will not\n"
         "# match other tools that accept the same key syntax.\n"
-        f"# key r={legacy.r} s={legacy.s} "
-        f"indices={','.join(map(str, legacy.indices))} "
-        f"nonce={args.nonce} alphabet={alphabet.id}\n"
+        f"# key r={frame.r} s={frame.s} "
+        f"indices={','.join(map(str, frame.indices))} "
+        f"nonce={frame.nonce} alphabet={alphabet.id}\n"
     )
     _write_text(args.out, header + codec.format_symbols(cipher))
     return 0
@@ -376,10 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QGError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

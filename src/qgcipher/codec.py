@@ -8,12 +8,17 @@ levels over tables of order r and the rest over order s; because r < s,
 order-r symbols are always valid inputs to the wider tables, so the stream's
 alphabet widens exactly once and every ciphertext symbol lands in 1..s.
 
+A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
+only range check (a tighter limit reads the symbols only when the declared
+order exceeds it).  Each direction has one chain loop, used at every level.
+
 Text handling lives here too: the 27-symbol alphabet (A..Z plus space) is
 the default, and a 41-symbol extension adds basic punctuation and digits.
 """
 
 from __future__ import annotations
 
+import string
 import struct
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -34,7 +39,7 @@ from .qgdb import NetworkProfile, get_quasigroup
 
 @dataclass(frozen=True)
 class SymbolStream:
-    """A sequence of symbols together with its declared alphabet bound."""
+    """Symbols stored as a tuple, each in 1..order (the alphabet bound)."""
 
     order: int
     symbols: tuple
@@ -42,17 +47,30 @@ class SymbolStream:
     def __post_init__(self):
         if self.order < 1:
             raise SymbolOutOfRange(f"stream order must be >= 1, got {self.order}")
-        for pos, sym in enumerate(self.symbols, 1):
-            if not 1 <= sym <= self.order:
-                raise SymbolOutOfRange(
-                    f"symbol {sym} at position {pos} outside 1..{self.order}",
-                    position=pos)
+        symbols = tuple(self.symbols)
+        object.__setattr__(self, "symbols", symbols)
+        if symbols and (min(symbols) < 1 or max(symbols) > self.order):
+            pos, sym = _first_outside(symbols, self.order)
+            raise SymbolOutOfRange(
+                f"symbol {sym} at position {pos} outside 1..{self.order}",
+                position=pos)
 
     def __len__(self):
         return len(self.symbols)
 
     def __iter__(self):
         return iter(self.symbols)
+
+
+def _exceeds(stream: SymbolStream, limit: int) -> bool:
+    """True if some symbol of the stream is above `limit`."""
+    return stream.order > limit and max(stream.symbols, default=0) > limit
+
+
+def _first_outside(symbols: tuple, limit: int) -> tuple:
+    """(position, symbol) of the first symbol outside 1..limit; error path."""
+    return next((pos, sym) for pos, sym in enumerate(symbols, 1)
+                if not 1 <= sym <= limit)
 
 
 # --- text <-> symbols ---------------------------------------------------------
@@ -91,15 +109,18 @@ def get_alphabet(alphabet_id: str) -> Alphabet:
                        f"choose from {sorted(ALPHABETS)}") from None
 
 
+# Every code point with str.isspace() lies in U+0000..U+3000 (the ideographic
+# space), so the table builds in about 1 ms; tests check all of Unicode.
+_WHITESPACE = "".join(filter(str.isspace, map(chr, range(0x3001))))
+_FOLD = str.maketrans(string.ascii_lowercase + _WHITESPACE,
+                      string.ascii_uppercase + " " * len(_WHITESPACE))
+
+
 def fold_text(text: str) -> str:
     """Canonical form before mapping: ASCII lowercase is uppercased and any
     whitespace character becomes a single space.  Other characters pass
     through unchanged."""
-    return "".join(
-        " " if ch.isspace() else
-        chr(ord(ch) - 32) if "a" <= ch <= "z" else
-        ch
-        for ch in text)
+    return text.translate(_FOLD)
 
 
 def text_to_symbols(text: str, alphabet: Alphabet = LATIN27) -> SymbolStream:
@@ -108,51 +129,62 @@ def text_to_symbols(text: str, alphabet: Alphabet = LATIN27) -> SymbolStream:
     Raises UnmappableCharacter naming the 1-indexed position and the
     original (pre-fold) character of the first failure.
     """
-    symbols = []
-    for pos, (raw, ch) in enumerate(zip(text, fold_text(text)), 1):
-        sym = alphabet.char_to_symbol.get(ch)
-        if sym is None:
-            raise UnmappableCharacter(pos, raw)
-        symbols.append(sym)
-    return SymbolStream(order=alphabet.size, symbols=tuple(symbols))
+    folded = fold_text(text)
+    try:
+        symbols = tuple(map(alphabet.char_to_symbol.__getitem__, folded))
+    except KeyError as exc:
+        # map stops at the first unmappable character, so its first
+        # occurrence is the failing position; folding keeps positions.
+        pos = folded.index(exc.args[0])
+        raise UnmappableCharacter(pos + 1, text[pos]) from None
+    return SymbolStream(order=alphabet.size, symbols=symbols)
 
 
 def symbols_to_text(stream: SymbolStream, alphabet: Alphabet = LATIN27) -> str:
     """Inverse of text_to_symbols on folded text."""
-    chars = []
-    for pos, sym in enumerate(stream.symbols, 1):
-        ch = alphabet.symbol_to_char.get(sym)
-        if ch is None:
-            raise SymbolOutOfRange(
-                f"symbol {sym} at position {pos} exceeds alphabet "
-                f"size {alphabet.size}", position=pos)
-        chars.append(ch)
-    return "".join(chars)
+    if _exceeds(stream, alphabet.size):
+        pos, sym = _first_outside(stream.symbols, alphabet.size)
+        raise SymbolOutOfRange(
+            f"symbol {sym} at position {pos} exceeds alphabet "
+            f"size {alphabet.size}", position=pos)
+    return "".join(map(alphabet.symbol_to_char.__getitem__, stream.symbols))
 
 
 # --- single-level transformation ----------------------------------------------
 
+def _chain(rows: list, leader: int, symbols) -> list:
+    """out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
+    out = []
+    prev = leader
+    for sym in symbols:
+        prev = rows[prev - 1][sym - 1]
+        out.append(prev)
+    return out
+
+
+def _unchain(inv_rows: list, leader: int, symbols) -> list:
+    """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i].  The row is
+    looked up before `prev` moves on to the current symbol."""
+    prev = leader
+    return [inv_rows[prev - 1][(prev := sym) - 1] for sym in symbols]
+
+
 def _check_level_args(square: LatinSquare, leader: int, stream: SymbolStream):
     if not 1 <= leader <= square.order:
         raise LeaderOutOfRange(f"leader {leader} outside 1..{square.order}")
-    for pos, sym in enumerate(stream.symbols, 1):
-        if sym > square.order:
-            raise SymbolOutOfRange(
-                f"symbol {sym} at position {pos} exceeds table order "
-                f"{square.order}", position=pos)
+    if _exceeds(stream, square.order):
+        pos, sym = _first_outside(stream.symbols, square.order)
+        raise SymbolOutOfRange(
+            f"symbol {sym} at position {pos} exceeds table order "
+            f"{square.order}", position=pos)
 
 
 def encrypt_level(square: LatinSquare, leader: int,
                   stream: SymbolStream) -> SymbolStream:
     """One chained pass: out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
     _check_level_args(square, leader, stream)
-    rows = square.rows
-    out = []
-    prev = leader
-    for sym in stream.symbols:
-        prev = rows[prev - 1][sym - 1]
-        out.append(prev)
-    return SymbolStream(order=square.order, symbols=tuple(out))
+    return SymbolStream(order=square.order,
+                        symbols=_chain(square.rows, leader, stream.symbols))
 
 
 def decrypt_level(square: LatinSquare, leader: int,
@@ -161,12 +193,8 @@ def decrypt_level(square: LatinSquare, leader: int,
     out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i]."""
     _check_level_args(square, leader, cipher)
     inv_rows = left_inverse(square).rows
-    out = []
-    prev = leader
-    for sym in cipher.symbols:
-        out.append(inv_rows[prev - 1][sym - 1])
-        prev = sym
-    return SymbolStream(order=square.order, symbols=tuple(out))
+    return SymbolStream(order=square.order,
+                        symbols=_unchain(inv_rows, leader, cipher.symbols))
 
 
 # --- multi-level indexed encryptor ---------------------------------------------
@@ -194,19 +222,14 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     first table (1..r); the result has order s.
     """
     orders = _check_key(profile, frame, key)
-    for pos, sym in enumerate(plaintext.symbols, 1):
-        if sym > frame.r:
-            raise PlaintextSymbolTooLarge(pos, sym, frame.r)
+    if _exceeds(plaintext, frame.r):
+        raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
+                                      frame.r)
     symbols = plaintext.symbols
     for order, index, q in zip(orders, frame.indices, key.multipliers):
-        rows = get_quasigroup(profile, order, index, frame.nonce).rows
-        out = []
-        prev = q
-        for sym in symbols:
-            prev = rows[prev - 1][sym - 1]
-            out.append(prev)
-        symbols = out
-    return SymbolStream(order=frame.s, symbols=tuple(symbols))
+        square = get_quasigroup(profile, order, index, frame.nonce)
+        symbols = _chain(square.rows, q, symbols)
+    return SymbolStream(order=frame.s, symbols=symbols)
 
 
 def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
@@ -214,21 +237,15 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     """Exact inverse of encrypt: levels in reverse order, left division via
     each level's materialized inverse table.  The result has order r."""
     orders = _check_key(profile, frame, key)
-    for pos, sym in enumerate(ciphertext.symbols, 1):
-        if sym > frame.s:
-            raise CiphertextSymbolTooLarge(pos, sym, frame.s)
+    if _exceeds(ciphertext, frame.s):
+        raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
+                                       frame.s)
     symbols = ciphertext.symbols
     for order, index, q in zip(reversed(orders), reversed(frame.indices),
                                reversed(key.multipliers)):
         square = get_quasigroup(profile, order, index, frame.nonce)
-        inv_rows = left_inverse(square).rows
-        out = []
-        prev = q
-        for sym in symbols:
-            out.append(inv_rows[prev - 1][sym - 1])
-            prev = sym
-        symbols = out
-    return SymbolStream(order=frame.r, symbols=tuple(symbols))
+        symbols = _unchain(left_inverse(square).rows, q, symbols)
+    return SymbolStream(order=frame.r, symbols=symbols)
 
 
 # --- ciphertext container -------------------------------------------------------
@@ -260,15 +277,15 @@ def pack_container(fingerprint: int, frame: KeyFrame,
     """Binary layout, all fields little-endian: magic, version byte,
     u64 profile fingerprint, u64 nonce, u16 r/s/k, k u16 indices,
     u64 payload length, then the payload as u16 symbols."""
-    for index in frame.indices:
-        if not 0 <= index <= 0xFFFF:
-            raise ContainerError(f"index {index} does not fit in 16 bits")
-    head = _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, fingerprint,
-                        frame.nonce, frame.r, frame.s, len(frame.indices))
-    idx = struct.pack(f"<{len(frame.indices)}H", *frame.indices)
     n = len(payload.symbols)
-    body = struct.pack("<Q", n) + struct.pack(f"<{n}H", *payload.symbols)
-    return head + idx + body
+    try:
+        return (_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, fingerprint,
+                             frame.nonce, frame.r, frame.s, len(frame.indices))
+                + struct.pack(f"<{len(frame.indices)}H", *frame.indices)
+                + struct.pack(f"<Q{n}H", n, *payload.symbols))
+    except struct.error as exc:
+        raise ContainerError(f"frame or payload does not fit the container: "
+                             f"{exc}") from None
 
 
 def unpack_container(blob: bytes) -> Container:

@@ -260,6 +260,15 @@ def test_unknown_command_exits_nonzero():
     assert err.value.code != 0
 
 
+def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, capsys):
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(b"\xff\xfe\x80 not utf-8")
+    assert main(["keygen", "--profile", str(blob), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["analyze", "--in", str(blob)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_version_flag(capsys):
     expected = f"qgcipher {qg.__version__}\n"
     with pytest.raises(SystemExit) as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -173,6 +174,18 @@ def test_ciphertext_symbol_too_large(profile):
     cipher = qg.SymbolStream(frame.s + 1, (frame.s + 1,))
     with pytest.raises(CiphertextSymbolTooLarge):
         qg.decrypt(profile, frame, key, cipher)
+    cipher = qg.SymbolStream(frame.s + 9, (1, frame.s, frame.s + 4, frame.s + 9))
+    with pytest.raises(CiphertextSymbolTooLarge) as err:
+        qg.decrypt(profile, frame, key, cipher)
+    assert (err.value.position, err.value.symbol) == (3, frame.s + 4)
+
+
+def test_wider_declared_order_is_accepted_when_symbols_fit(profile):
+    frame, key = _material(profile)
+    plain = qg.SymbolStream(frame.s, (1, frame.r, 2))
+    cipher = qg.encrypt(profile, frame, key, plain)
+    wide = qg.SymbolStream(frame.s + 9, cipher.symbols)
+    assert qg.decrypt(profile, frame, key, wide).symbols == plain.symbols
 
 
 def test_key_mismatch(profile):
@@ -203,8 +216,20 @@ def test_unmappable_character():
     assert err.value.position == 3
 
 
+def test_unmappable_character_after_folded_characters():
+    with pytest.raises(UnmappableCharacter) as err:
+        qg.text_to_symbols("ab\tc\u3000d?e?", qg.LATIN27)
+    assert (err.value.position, err.value.char) == (7, "?")
+    # without a space symbol, a folded whitespace character is the failure
+    letters = qg.Alphabet("letters", {"A": 1, "B": 2}, {1: "A", 2: "B"})
+    with pytest.raises(UnmappableCharacter) as err:
+        qg.text_to_symbols("ab\u3000a\tb", letters)
+    assert (err.value.position, err.value.char) == (3, "\u3000")
+
+
 def test_symbols_to_text_example():
     assert qg.symbols_to_text(qg.SymbolStream(27, (11,)), qg.LATIN27) == "K"
+    assert qg.symbols_to_text(qg.SymbolStream(41, (11, 27)), qg.LATIN27) == "K "
 
 
 def test_symbol_zero_is_rejected():
@@ -212,15 +237,48 @@ def test_symbol_zero_is_rejected():
         qg.SymbolStream(27, (0,))
 
 
+@pytest.mark.parametrize("symbols, position", [
+    ((3, 27, 28, 0), 3),
+    ((3, 0, 28), 2),
+    ([5, 5, 5, -1], 4),
+])
+def test_stream_reports_first_offending_position(symbols, position):
+    with pytest.raises(SymbolOutOfRange) as err:
+        qg.SymbolStream(27, symbols)
+    assert err.value.position == position
+
+
+def test_stream_does_not_follow_its_source_list():
+    symbols = [1, 2, 3]
+    stream = qg.SymbolStream(4, symbols)
+    symbols[0] = 4
+    assert stream.symbols == (1, 2, 3)
+    assert stream == qg.SymbolStream(4, (1, 2, 3))
+
+
 def test_symbols_beyond_alphabet_are_rejected():
     stream = qg.SymbolStream(41, (30,))
     with pytest.raises(SymbolOutOfRange):
         qg.symbols_to_text(stream, qg.LATIN27)
+    stream = qg.SymbolStream(41, (1, 27, 30, 41))
+    with pytest.raises(SymbolOutOfRange) as err:
+        qg.symbols_to_text(stream, qg.LATIN27)
+    assert err.value.position == 3
 
 
 def test_fold_rules():
     assert qg.fold_text("Hello,\tWorld\n") == "HELLO, WORLD "
     assert qg.fold_text("a z") == "A Z"
+
+
+def test_fold_text_matches_its_definition_on_all_of_unicode():
+    chars = "".join(map(chr, itertools.chain(range(0xD800),
+                                             range(0xE000, 0x110000))))
+    want = "".join(" " if ch.isspace() else
+                   ch.upper() if "a" <= ch <= "z" else
+                   ch
+                   for ch in chars)
+    assert qg.fold_text(chars) == want
 
 
 @given(st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz \t\n",
@@ -292,3 +350,15 @@ def test_container_rejects_oversized_index(profile):
     frame = qg.KeyFrame(r=35, s=41, indices=(70000, 1, 1, 1, 1, 1), nonce=500)
     with pytest.raises(ContainerError):
         qg.pack_container(0, frame, qg.SymbolStream(35, ()))
+
+
+def test_container_rejects_fields_that_do_not_fit():
+    frame = qg.KeyFrame(r=35, s=41, indices=(1, 2, 3, 4, 5, 6), nonce=500)
+    empty = qg.SymbolStream(35, ())
+    for bad in (dict(nonce=-1), dict(nonce=2**64), dict(r=70000), dict(s=70000)):
+        with pytest.raises(ContainerError):
+            qg.pack_container(0, dataclasses.replace(frame, **bad), empty)
+    with pytest.raises(ContainerError):
+        qg.pack_container(0, frame, qg.SymbolStream(70000, (1, 70000)))
+    assert qg.unpack_container(qg.pack_container(0, frame, empty)).frame() == \
+        dataclasses.replace(frame, issued_at=0)
