@@ -37,6 +37,14 @@ def autocorrelation(stream: SymbolStream, max_lag: int) -> AutocorrelationReport
 
     Lags past length-1 are truncated.  R(0) is the sum of squared
     deviations, so it is nonnegative and zero exactly for constant streams.
+
+    Every value is the correctly rounded exact R(k), with no BLAS call.
+    R(k) is the same for y_i = x_i - c as for x, and for integers y,
+    n^2 R(k) = n^2 P_k - n S (A_k + B_k) + (n - k) S^2 is an integer, where
+    P_k = sum_i y_i y_{i+k}, S = sum_i y_i, and A_k, B_k are the sums of
+    y[:n-k] and y[k:].  c is the integer floor of the mean, which keeps the
+    FFT inputs of _lag_products small; the quotient by n^2 is taken in
+    Python ints.
     """
     n = len(stream)
     if n == 0:
@@ -44,16 +52,70 @@ def autocorrelation(stream: SymbolStream, max_lag: int) -> AutocorrelationReport
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     k_max = min(max_lag, n - 1)
-    x = np.asarray(stream.symbols, dtype=np.float64)
-    mu = float(x.mean())
-    d = x - mu
-    values = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        values[k] = np.dot(d[:n - k], d[k:])
+    y = np.array(stream.symbols, dtype=np.int64)
+    total = int(y.sum())
+    shift, s = divmod(total, n)     # s = sum of the shifted symbols
+    y -= shift
+    # A_k + B_k = 2S - (sum of the first k) - (sum of the last k)
+    ends = np.zeros(k_max + 1, dtype=np.int64)
+    np.cumsum(y[:k_max] + y[::-1][:k_max], out=ends[1:])
+    nn = n * n
+    values = np.array([
+        (nn * p - n * s * (2 * s - e) + (n - k) * s * s) / nn
+        for k, (p, e) in enumerate(zip(_lag_products(y, k_max).tolist(),
+                                       ends.tolist()))])
     r0 = values[0]
     normalized = values / r0 if r0 > 0 else np.zeros_like(values)
     return AutocorrelationReport(lags=np.arange(k_max + 1), values=values,
-                                 normalized=normalized, mean=mu, length=n)
+                                 normalized=normalized, mean=total / n, length=n)
+
+
+def _lag_products(y: np.ndarray, k_max: int) -> np.ndarray:
+    """P_k = sum_i y_i y_{i+k} for k = 0..k_max, exactly, from int64 y.
+
+    FFT correlation in float64 gives P_k exactly after np.rint when its
+    error is below 1/2.  For a transform of length L = 2^m, Percival (Math.
+    Comp. 72, 2003) bounds the error of an FFT convolution of a and b by
+    ||a|| ||b|| ((1+e)^3m (1+e sqrt5)^(3m+1) (1+t)^3m - 1), with e = 2^-53
+    and t the error of the twiddle factors; for t <= e that is about
+    ||a|| ||b|| e (12.8 m + 2.3).  Each block correlates at most L values
+    against at most L values, so ||a|| ||b|| <= L max|y|^2, and the guard
+    below asks for L max|y|^2 (13 (m+1) + 3) < 2^52.  When y is too wide
+    for that, it is split into a high and a low digit, y = hi 2^b + lo, and
+    P(y) = P(hi) 2^2b + (P(hi+lo) - P(hi) - P(lo)) 2^b + P(lo), each digit
+    product exact in turn.  Symbols up to 65535 need at most one split for
+    up to about 2^24 lags.  Any L above k_max is exact; L is the power of
+    two at least min(len(y), max(2^14, k_max + 1)) + k_max, so that a block
+    steps over at least that many values and the blocks stay few.
+    """
+    size = 1 << (min(len(y), max(1 << 14, k_max + 1)) + k_max - 1).bit_length()
+    peak = max(-int(y.min()), int(y.max()))
+    if size * peak * peak * (13 * size.bit_length() + 3) < 1 << 52:
+        return _blocked_lag_products(y, k_max, size)
+    b = (peak.bit_length() + 1) // 2
+    hi, lo = y >> b, y & ((1 << b) - 1)
+    p_hi, p_lo, p_mid = (_lag_products(digit, k_max).astype(object)
+                         for digit in (hi, lo, hi + lo))
+    return (p_hi << 2 * b) + ((p_mid - p_hi - p_lo) << b) + p_lo
+
+
+def _blocked_lag_products(y: np.ndarray, k_max: int, size: int) -> np.ndarray:
+    """Lag products block by block.  Each block's head, its size - k_max
+    values, is correlated against its window, the head and the k_max values
+    after it, zero-padded to size, so no lag wraps around the transform."""
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    step = size - k_max
+    out = np.zeros(k_max + 1, dtype=np.int64)
+    block = np.empty(size)
+    for start in range(0, len(y), step):
+        window = y[start:start + step + k_max]
+        block[:len(window)] = window
+        block[len(window):] = 0
+        spectrum = rfft(block)
+        block[step:] = 0                        # now the head alone
+        spectrum *= np.conjugate(rfft(block))
+        out += np.rint(irfft(spectrum, size)[:k_max + 1]).astype(np.int64)
+    return out
 
 
 def entropy(stream: SymbolStream) -> float:

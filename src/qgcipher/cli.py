@@ -41,12 +41,16 @@ def parse_legacy_key(text: str) -> keying.KeyFrame:
 def _legacy_profile(base: qgdb.NetworkProfile,
                     key: keying.KeyFrame) -> qgdb.NetworkProfile:
     """Adapt a profile to an inline key: level count and split follow the
-    key's index count, and index_max widens to cover its indices."""
+    key's index count, and r_min, r_max, s_max and index_max widen to cover
+    its orders and indices."""
     k = len(key.indices)
     if k < 2:
         raise OrderViolation("inline keys need at least 2 indices")
     return dataclasses.replace(
         base,
+        r_min=min(base.r_min, key.r),
+        r_max=max(base.r_max, key.r),
+        s_max=max(base.s_max, key.s),
         level_count=k,
         split=math.ceil(k / 2),
         index_max=max(base.index_max, max(key.indices)),

@@ -7,9 +7,9 @@ vector -- is never transmitted; sender and receiver both derive it from the
 frame and the shared profile, so it only has to be derivable identically on
 both ends.
 
-Frame validity is split in two: structural validity (orders, index count and
-ranges, nonce bounds) and temporal validity (the frame expires at
-issued_at + nonce, exclusive).  Hidden-key derivation requires only the
+Frame validity is split in two: structural validity (r in the profile's
+r_min..r_max and r < s <= s_max, index count and ranges, nonce bounds) and
+temporal validity (the frame expires at issued_at + nonce, exclusive).  Hidden-key derivation requires only the
 structural part; expiry is enforced where frames are accepted.
 """
 
@@ -71,10 +71,12 @@ def level_orders(profile: NetworkProfile, frame: KeyFrame) -> tuple:
 
 def _frame_problem(profile: NetworkProfile, frame: KeyFrame,
                    check_nonce: bool = True) -> Optional[str]:
-    if frame.r < 2:
-        return "r must be >= 2"
+    if not profile.r_min <= frame.r <= profile.r_max:
+        return f"r {frame.r} outside {profile.r_min}..{profile.r_max}"
     if frame.r >= frame.s:
         return "r must be < s"
+    if frame.s > profile.s_max:
+        return f"s {frame.s} above s_max {profile.s_max}"
     if len(frame.indices) != profile.level_count:
         return (f"expected {profile.level_count} indices, "
                 f"got {len(frame.indices)}")
@@ -163,7 +165,8 @@ def frame_from_json(text: str):
     """Parse a frame file; returns (frame, profile_id)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise FrameInvalid(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FrameInvalid("frame file must hold a JSON object")

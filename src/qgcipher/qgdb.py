@@ -113,7 +113,8 @@ def profile_from_json(text: str) -> NetworkProfile:
     """Parse a profile file; unknown or missing keys are rejected."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise ProfileInvalid(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ProfileInvalid("profile file must hold a JSON object")

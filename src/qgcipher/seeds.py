@@ -31,14 +31,18 @@ def derive_seed(parts) -> int:
     """Fold a sequence of 64-bit words into a single 64-bit value.
 
     Starting from state 0, each part is absorbed by adding it and then the
-    golden-ratio constant to the state, finalizing after each step; the
-    last finalized value is returned (0 for an empty sequence, since the
-    finalizer fixes 0).  derive_seed([x]) equals the first output of
-    SplitMix64(x), so stream draws and one-shot derivations agree.
+    golden-ratio constant to the state; the finalizer runs once, on the
+    final state (0 for an empty sequence, since the finalizer fixes 0).
+    derive_seed([x]) equals the first output of SplitMix64(x), so stream
+    draws and one-shot derivations agree.
 
-    Absorption is additive, so reordering parts does not change the
-    result; callers needing positional separation include a position
-    marker among the parts.
+    Absorption is additive only: the result depends on the parts' sum and
+    count, not on their order or position.  Distinct inputs with the same
+    sum alias.  With qgdb's parts (db_seed, order, index, nonce, tag),
+    derive_seed((1, 64, 6, 0, 1)) equals derive_seed((1, 64, 5, 0, 2)), so
+    the row permutation of index 6 is the column permutation of index 5.
+    The pinned outputs depend on this behaviour; positional absorption is
+    ROADMAP item 3 (seed derivation v2).
     """
     state = 0
     for part in parts:

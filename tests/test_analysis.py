@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgcipher as qg
+from qgcipher import analysis
 from qgcipher.errors import EmptyStream, UnknownCase
 
 # Documented seed for the pinned scrambling checks (constant-ish input
@@ -26,6 +30,30 @@ def naive_autocorrelation(symbols, max_lag):
 
 def _close(a, b):
     return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def exact_autocorrelation(symbols, max_lag):
+    # R(k) = P_k - mu (A_k + B_k) + (n - k) mu^2 in rationals, with the lag
+    # product P_k as a direct integer dot (int64 is exact for symbols
+    # below 2^16 and n below 2^31), rounded once to float
+    x = np.asarray(symbols, dtype=np.int64)
+    n = len(x)
+    mu = Fraction(int(x.sum()), n)
+    out = []
+    for k in range(min(max_lag, n - 1) + 1):
+        head, tail = x[:n - k], x[k:]
+        exact = (int(np.dot(head, tail)) - mu * (int(head.sum()) + int(tail.sum()))
+                 + (n - k) * mu * mu)
+        out.append(float(exact))
+    return out
+
+
+def _symbols(order, n, seed, extremes):
+    # extremes: only 1 and order, the largest deviations the order allows
+    rng = np.random.default_rng(seed)
+    if extremes:
+        return tuple(np.where(rng.integers(0, 2, n) == 1, order, 1).tolist())
+    return tuple(rng.integers(1, order + 1, n).tolist())
 
 
 # --- autocorrelation ---------------------------------------------------------------
@@ -81,6 +109,38 @@ def test_autocorrelation_matches_naive_oracle():
         assert len(report.values) == len(oracle)
         for got, want in zip(report.values, oracle):
             assert _close(got, want)
+
+
+@given(data=st.data(), order=st.integers(2, 65535),
+       seed=st.integers(0, 2**32 - 1), extremes=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_autocorrelation_is_exact(data, order, seed, extremes):
+    # lengths past 32,768 are longer than one FFT block for most lags
+    n = data.draw(st.one_of(st.integers(1, 300), st.integers(32_800, 36_000)),
+                  label="n")
+    max_lag = data.draw(st.integers(0, n - 1), label="max_lag")
+    symbols = _symbols(order, n, seed, extremes)
+    report = qg.autocorrelation(qg.SymbolStream(order, symbols), max_lag)
+    assert report.values.tolist() == exact_autocorrelation(symbols, max_lag)
+
+
+def test_autocorrelation_is_exact_on_the_digit_split():
+    # order-65535 extremes at this many lags are too wide for one FFT pass
+    symbols = _symbols(65535, 20_000, 11, extremes=True)
+    y = np.asarray(symbols, dtype=np.int64) - sum(symbols) // len(symbols)
+    assert analysis._lag_products(y, 19_999).dtype == object
+    report = qg.autocorrelation(qg.SymbolStream(65535, symbols), 19_999)
+    assert report.values.tolist() == exact_autocorrelation(symbols, 19_999)
+
+
+@pytest.mark.parametrize("order, n", [(2, 1), (65535, 1), (41, 300),
+                                      (65535, 40_000)])
+def test_constant_stream_is_exactly_zero(order, n):
+    report = qg.autocorrelation(qg.SymbolStream(order, (order,) * n), 30_000)
+    assert len(report.values) == min(30_000, n - 1) + 1
+    assert not report.values.any()
+    assert not report.normalized.any()
+    assert report.mean == order
 
 
 # --- entropy and histogram ------------------------------------------------------------

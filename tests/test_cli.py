@@ -196,6 +196,19 @@ def test_legacy_encrypt_and_decrypt(tmp_path, capsys):
     assert capsys.readouterr().out == "K K K K K K K K K K K "
 
 
+def test_legacy_key_outside_default_bounds_round_trips(tmp_path, capsys):
+    # r=20 is below the default r_min (32) and s=300 above its s_max (256)
+    key = "20, 300, 7, 1, 900, 4"
+    message = tmp_path / "msg.txt"
+    message.write_text("HELLO")  # every symbol within r=20
+    assert main(["legacy-encrypt", "--key", key, "--in", str(message)]) == 0
+    symbols = tmp_path / "ct.sym"
+    symbols.write_text(capsys.readouterr().out)
+    assert main(["decrypt", "--text", "--key", key, "--in", str(symbols),
+                 "--alphabet", "latin41"]) == 0
+    assert capsys.readouterr().out == "HELLO"
+
+
 def test_legacy_symbols_stay_in_range(tmp_path, capsys):
     message = tmp_path / "msg.txt"
     message.write_text("OOM NAMAH SHIVAYA")
@@ -266,6 +279,13 @@ def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, capsys):
     assert main(["keygen", "--profile", str(blob), "--seed", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert main(["analyze", "--in", str(blob)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_profile_is_an_error_not_a_traceback(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    assert main(["keygen", "--profile", str(nested), "--seed", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -82,6 +82,20 @@ def test_derivation_rejects_structural_problems(profile):
                                                   indices=(0,) * 6, nonce=500))
 
 
+@pytest.mark.parametrize("orders, reason", [
+    (dict(s=900), "s 900 above s_max 256"),
+    (dict(r=20), "r 20 outside 32..128"),
+    (dict(r=129, s=200), "r 129 outside 32..128"),
+])
+def test_frame_orders_must_fit_the_profile(profile, orders, reason):
+    frame = dataclasses.replace(qg.generate_frame(profile, 7), **orders)
+    qg.qgdb._indexed_square.cache_clear()
+    with pytest.raises(FrameInvalid, match=reason):
+        qg.derive_hidden_key(profile, frame)
+    assert qg.validate_frame(profile, frame, now=0).reason == reason
+    assert qg.qgdb._indexed_square.cache_info().currsize == 0  # no table built
+
+
 # --- level orders -------------------------------------------------------------------
 
 def test_level_orders_default_split(profile):
@@ -152,6 +166,12 @@ def test_frame_json_round_trip(profile, tmp_path):
     loaded, profile_id = qg.load_frame(path)
     assert loaded == frame
     assert profile_id == profile.profile_id
+
+
+def test_frame_json_rejects_deeply_nested_json():
+    # json.loads raises RecursionError, not JSONDecodeError, on this input
+    with pytest.raises(FrameInvalid, match="not valid JSON"):
+        qg.frame_from_json("[" * 100_000)
 
 
 def test_frame_json_rejects_unknown_keys(profile):

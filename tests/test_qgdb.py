@@ -107,6 +107,12 @@ def test_profile_rejects_unknown_keys(profile):
         qg.profile_from_json(json.dumps(obj))
 
 
+def test_profile_rejects_deeply_nested_json():
+    # json.loads raises RecursionError, not JSONDecodeError, on this input
+    with pytest.raises(ProfileInvalid, match="not valid JSON"):
+        qg.profile_from_json("[" * 100_000)
+
+
 def test_profile_rejects_missing_keys(profile):
     import json
     obj = json.loads(qg.profile_to_json(profile))
