@@ -239,6 +239,12 @@ def test_analyze_writes_csv_file(tmp_path, capsys):
     assert len(lines) == 18  # header + lags 0..16 on a 17-symbol stream
 
 
+def test_profile_new_defaults_write_the_default_profile(tmp_path):
+    out = tmp_path / "net.json"
+    assert main(["profile-new", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == qg.profile_to_json(qg.default_profile())
+
+
 def test_profile_new_custom_parameters(tmp_path):
     out = tmp_path / "tight.json"
     assert main(["profile-new", "--id", "tight", "--r-min", "8", "--r-max", "16",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,12 @@ def test_frame_json_round_trip(profile, tmp_path):
     loaded, profile_id = qg.load_frame(path)
     assert loaded == frame
     assert profile_id == profile.profile_id
+
+
+def test_frame_bytes_are_pinned(profile):
+    text = qg.frame_to_json(qg.generate_frame(profile, 7, issued_at=3), "default")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "623d880840d9610fa7e793c570071a4eace28cf485bf3591a698442a0aafa34a")
 
 
 def test_frame_json_rejects_deeply_nested_json():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,13 @@ def test_profile_json_round_trip(profile):
     # db_seed travels as a decimal string
     import json
     assert json.loads(text)["db_seed"] == str(profile.db_seed)
+
+
+def test_default_profile_bytes_are_pinned():
+    # Containers carry a fingerprint of these exact bytes.
+    text = qg.profile_to_json(qg.default_profile())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1bfc27d983ac8cc8fdb46ba72e2116ab14006b95689683c8882aa4899e7a02d3")
 
 
 def test_profile_key_order_is_fixed(profile):
