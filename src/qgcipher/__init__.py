@@ -16,10 +16,6 @@ from .analysis import (
     run_case,
 )
 from .codec import (
-    ALPHABETS,
-    Alphabet,
-    LATIN27,
-    LATIN41,
     SymbolStream,
     decrypt,
     decrypt_level,
@@ -27,7 +23,6 @@ from .codec import (
     encrypt_level,
     fold_text,
     format_symbols,
-    get_alphabet,
     pack_container,
     parse_symbols,
     symbols_to_text,
@@ -61,10 +56,15 @@ from .latin import (
     validate_latin_square,
 )
 from .qgdb import (
+    ALPHABETS,
+    Alphabet,
     DEFAULT_DB_SEED,
+    LATIN27,
+    LATIN41,
     NetworkProfile,
     base_square,
     default_profile,
+    get_alphabet,
     get_quasigroup,
     load_profile,
     profile_fingerprint,

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import LATIN41, SymbolStream, encrypt, text_to_symbols
+from .codec import SymbolStream, encrypt, text_to_symbols
 from .errors import EmptyStream, UnknownCase
 from .keying import HiddenKey, KeyFrame
-from .qgdb import NetworkProfile
+from .qgdb import LATIN41, NetworkProfile
+
+# Highest lag a report covers when the caller names none.
+DEFAULT_MAX_LAG = 20
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,8 @@ class CaseReport:
 
 
 def analyze_text(text: str, profile: NetworkProfile, frame: KeyFrame,
-                 key: HiddenKey, alphabet=LATIN41, max_lag: int = 20,
-                 case_id: int = 0) -> CaseReport:
+                 key: HiddenKey, alphabet=LATIN41,
+                 max_lag: int = DEFAULT_MAX_LAG, case_id: int = 0) -> CaseReport:
     """Encrypt a text and measure both sides (case_id 0 for ad-hoc input)."""
     plain = text_to_symbols(text, alphabet)
     cipher = encrypt(profile, frame, key, plain)
@@ -201,7 +204,7 @@ def analyze_text(text: str, profile: NetworkProfile, frame: KeyFrame,
 
 
 def run_case(case_id: int, profile: NetworkProfile, frame: KeyFrame,
-             key: HiddenKey, max_lag: int = 20) -> CaseReport:
+             key: HiddenKey, max_lag: int = DEFAULT_MAX_LAG) -> CaseReport:
     """Encrypt one built-in case and measure both sides.
 
     Case texts include punctuation, so they are coded with the 41-symbol

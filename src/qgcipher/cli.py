@@ -38,23 +38,41 @@ def parse_legacy_key(text: str) -> keying.KeyFrame:
     return keying.KeyFrame(r=r, s=s, indices=tuple(entries[2:]), nonce=0)
 
 
-def _legacy_profile(base: qgdb.NetworkProfile,
-                    key: keying.KeyFrame) -> qgdb.NetworkProfile:
-    """Adapt a profile to an inline key: level count and split follow the
-    key's index count, and r_min, r_max, s_max and index_max widen to cover
-    its orders and indices."""
-    k = len(key.indices)
+def _default_split(level_count: int) -> int:
+    """Levels of order r when none is named: half the levels, rounded up."""
+    return math.ceil(level_count / 2)
+
+
+def _inline_key(args, base: qgdb.NetworkProfile):
+    """Frame from --key and --nonce, and the profile adapted to it: level
+    count and split follow the key's index count, and r_min, r_max, s_max
+    and index_max widen to cover its orders and indices."""
+    frame = dataclasses.replace(parse_legacy_key(args.key), nonce=args.nonce)
+    k = len(frame.indices)
     if k < 2:
         raise OrderViolation("inline keys need at least 2 indices")
-    return dataclasses.replace(
+    profile = dataclasses.replace(
         base,
-        r_min=min(base.r_min, key.r),
-        r_max=max(base.r_max, key.r),
-        s_max=max(base.s_max, key.s),
+        r_min=min(base.r_min, frame.r),
+        r_max=max(base.r_max, frame.r),
+        s_max=max(base.s_max, frame.s),
         level_count=k,
-        split=math.ceil(k / 2),
-        index_max=max(base.index_max, max(key.indices)),
+        split=_default_split(k),
+        index_max=max(base.index_max, max(frame.indices)),
     )
+    return frame, profile
+
+
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
+def _finite_float(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return float(text)
 
 
 # --- small I/O helpers ----------------------------------------------------------
@@ -91,29 +109,14 @@ def _load_profile(args):
     return profile, qgdb.profile_to_json(profile).encode("utf-8")
 
 
-def _alphabet_for(args, profile):
-    if getattr(args, "alphabet", None):
-        return codec.get_alphabet(args.alphabet)
-    return codec.get_alphabet(profile.alphabet_id)
-
-
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_profile_new(args):
-    profile = qgdb.NetworkProfile(
-        profile_id=args.id,
-        db_seed=args.db_seed,
-        r_min=args.r_min,
-        r_max=args.r_max,
-        s_max=args.s_max,
-        level_count=args.levels,
-        split=args.split if args.split is not None else math.ceil(args.levels / 2),
-        index_max=args.index_max,
-        nonce_upper=args.nonce_upper,
-        nonce_lower=args.nonce_lower,
-        alphabet_id=args.alphabet,
-    )
-    _write_text(args.out, qgdb.profile_to_json(profile))
+    fields = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(qgdb.NetworkProfile)}
+    if args.split is None:
+        fields["split"] = _default_split(args.level_count)
+    _write_text(args.out, qgdb.profile_to_json(qgdb.NetworkProfile(**fields)))
     return 0
 
 
@@ -128,7 +131,7 @@ def cmd_encrypt(args):
     profile, raw = _load_profile(args)
     frame, _ = keying.load_frame(args.frame)
     key = keying.derive_hidden_key(profile, frame)
-    alphabet = _alphabet_for(args, profile)
+    alphabet = codec.get_alphabet(args.alphabet or profile.alphabet_id)
     plain = codec.text_to_symbols(_read_text(args.infile), alphabet)
     cipher = codec.encrypt(profile, frame, key, plain)
     if args.text:
@@ -148,9 +151,7 @@ def cmd_decrypt(args):
     profile, raw = _load_profile(args)
     if args.text:
         if args.key:
-            frame = dataclasses.replace(parse_legacy_key(args.key),
-                                        nonce=args.nonce)
-            profile = _legacy_profile(profile, frame)
+            frame, profile = _inline_key(args, profile)
         elif args.frame:
             frame, _ = keying.load_frame(args.frame)
         else:
@@ -168,7 +169,8 @@ def cmd_decrypt(args):
         cipher = codec.SymbolStream(order=frame.s, symbols=box.symbols)
     key = keying.derive_hidden_key(profile, frame)
     plain = codec.decrypt(profile, frame, key, cipher)
-    _write_text(args.out, codec.symbols_to_text(plain, _alphabet_for(args, profile)))
+    alphabet = codec.get_alphabet(args.alphabet or profile.alphabet_id)
+    _write_text(args.out, codec.symbols_to_text(plain, alphabet))
     return 0
 
 
@@ -183,7 +185,7 @@ def cmd_analyze(args):
         report = analysis.run_case(args.case, profile, frame, key,
                                    max_lag=args.max_lag)
     elif args.infile is not None:
-        alphabet = codec.get_alphabet(args.alphabet) if args.alphabet else codec.LATIN41
+        alphabet = codec.get_alphabet(args.alphabet or codec.LATIN41.id)
         report = analysis.analyze_text(_read_text(args.infile), profile, frame,
                                        key, alphabet=alphabet,
                                        max_lag=args.max_lag)
@@ -232,9 +234,7 @@ def cmd_qg_dump(args):
 
 
 def cmd_legacy_encrypt(args):
-    base, _ = _load_profile(args)
-    frame = dataclasses.replace(parse_legacy_key(args.key), nonce=args.nonce)
-    profile = _legacy_profile(base, frame)
+    frame, profile = _inline_key(args, _load_profile(args)[0])
     key = keying.derive_hidden_key(profile, frame)
     alphabet = codec.get_alphabet(args.alphabet)
     plain = codec.text_to_symbols(_read_text(args.infile), alphabet)
@@ -275,20 +275,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alphabet", choices=sorted(codec.ALPHABETS),
                            help="text alphabet (default: profile's)")
 
+    defaults = qgdb.default_profile()
     p = sub.add_parser("profile-new", help="write a network profile file")
-    p.add_argument("--id", default="default")
-    p.add_argument("--db-seed", type=int, default=qgdb.DEFAULT_DB_SEED)
-    p.add_argument("--r-min", type=int, default=32)
-    p.add_argument("--r-max", type=int, default=128)
-    p.add_argument("--s-max", type=int, default=256)
-    p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--split", type=int, default=None,
+    p.add_argument("--id", dest="profile_id", default=defaults.profile_id)
+    p.add_argument("--db-seed", type=int, default=defaults.db_seed)
+    p.add_argument("--r-min", type=int, default=defaults.r_min)
+    p.add_argument("--r-max", type=int, default=defaults.r_max)
+    p.add_argument("--s-max", type=int, default=defaults.s_max)
+    p.add_argument("--levels", dest="level_count", type=int, metavar="K",
+                   default=defaults.level_count)
+    p.add_argument("--split", type=int, default=None, metavar="M",
                    help="leading levels of order r (default: levels/2 rounded up)")
-    p.add_argument("--index-max", type=int, default=1000)
-    p.add_argument("--nonce-upper", type=int, default=1000, metavar="T")
-    p.add_argument("--nonce-lower", type=int, default=100, metavar="T1")
-    p.add_argument("--alphabet", choices=sorted(codec.ALPHABETS),
-                   default="latin27")
+    p.add_argument("--index-max", type=int, default=defaults.index_max)
+    p.add_argument("--nonce-upper", type=int, default=defaults.nonce_upper,
+                   metavar="T")
+    p.add_argument("--nonce-lower", type=int, default=defaults.nonce_lower,
+                   metavar="T1")
+    p.add_argument("--alphabet", dest="alphabet_id",
+                   choices=sorted(codec.ALPHABETS), default=defaults.alphabet_id)
     add_common(p, profile=False)
     p.set_defaults(func=cmd_profile_new)
 
@@ -322,13 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", metavar="FILE")
     p.add_argument("--seed", type=int, default=1,
                    help="frame seed when --frame is absent (default 1)")
-    p.add_argument("--max-lag", type=int, default=20)
+    p.add_argument("--max-lag", type=_non_negative_int,
+                   default=analysis.DEFAULT_MAX_LAG)
     add_common(p, infile=True, alphabet=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run the authority/node simulation")
     p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--duration", type=float, default=10.0,
+    p.add_argument("--duration", type=_finite_float, default=10.0,
                    help="run length in units of the nonce upper bound "
                         "(default 10)")
     p.add_argument("--margin", type=int, default=None,
@@ -352,10 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", metavar="R,S,I...", required=True)
     p.add_argument("--nonce", type=int, default=0)
     p.add_argument("--alphabet", choices=sorted(codec.ALPHABETS),
-                   default="latin41")
-    p.add_argument("--profile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--in", dest="infile", metavar="FILE")
+                   default=codec.LATIN41.id)
+    add_common(p, infile=True)
     p.set_defaults(func=cmd_legacy_encrypt)
 
     return parser

@@ -12,16 +12,15 @@ A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
 only range check (a tighter limit reads the symbols only when the declared
 order exceeds it).  Each direction has one chain loop, used at every level.
 
-Text handling lives here too: the 27-symbol alphabet (A..Z plus space) is
-the default, and a 41-symbol extension adds basic punctuation and digits.
+Text handling lives here too, over the alphabets defined with the profile
+in qgdb (re-exported from this module).
 """
 
 from __future__ import annotations
 
 import string
 import struct
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .errors import (
     CiphertextSymbolTooLarge,
@@ -34,7 +33,9 @@ from .errors import (
 )
 from .keying import HiddenKey, KeyFrame, level_orders
 from .latin import LatinSquare, left_inverse
-from .qgdb import NetworkProfile, get_quasigroup
+# ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
+from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
+                   NetworkProfile, get_alphabet, get_quasigroup)
 
 
 @dataclass(frozen=True)
@@ -74,40 +75,6 @@ def _first_outside(symbols: tuple, limit: int) -> tuple:
 
 
 # --- text <-> symbols ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Invertible character coding: char_to_symbol and symbol_to_char are
-    mutual inverses on their domains."""
-
-    id: str
-    char_to_symbol: Mapping = field(repr=False)
-    symbol_to_char: Mapping = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.char_to_symbol)
-
-
-def _make_alphabet(alphabet_id: str, chars: str) -> Alphabet:
-    c2s = {ch: i for i, ch in enumerate(chars, 1)}
-    s2c = {i: ch for i, ch in enumerate(chars, 1)}
-    return Alphabet(id=alphabet_id, char_to_symbol=c2s, symbol_to_char=s2c)
-
-
-LATIN27 = _make_alphabet("latin27", "ABCDEFGHIJKLMNOPQRSTUVWXYZ ")
-LATIN41 = _make_alphabet("latin41", "ABCDEFGHIJKLMNOPQRSTUVWXYZ .,0123456789'\n")
-
-ALPHABETS = {a.id: a for a in (LATIN27, LATIN41)}
-
-
-def get_alphabet(alphabet_id: str) -> Alphabet:
-    try:
-        return ALPHABETS[alphabet_id]
-    except KeyError:
-        raise KeyError(f"unknown alphabet {alphabet_id!r}; "
-                       f"choose from {sorted(ALPHABETS)}") from None
-
 
 # Every code point with str.isspace() lies in U+0000..U+3000 (the ideographic
 # space), so the table builds in about 1 ms; tests check all of Unicode.

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import FrameInvalid
-from .qgdb import NetworkProfile
+from .qgdb import NetworkProfile, _read_json_file
 from .seeds import SplitMix64, derive_seed
 
 FRAME_VERSION = 1
-_FRAME_KEYS = ("version", "profile_id", "r", "s", "indices", "nonce", "issued_at")
 
 
 @dataclass(frozen=True)
@@ -148,46 +147,24 @@ def validate_frame(profile: NetworkProfile, frame: KeyFrame,
 
 # --- frame file format -------------------------------------------------------
 
+# The file holds version, profile_id and then the KeyFrame fields in field
+# order, under their own names; the indices travel as a JSON list.
+_FRAME_TYPES = {"profile_id": str,
+                **{f.name: list if f.name == "indices" else int
+                   for f in fields(KeyFrame)}}
+
+
 def frame_to_json(frame: KeyFrame, profile_id: str) -> str:
-    obj = {
-        "version": FRAME_VERSION,
-        "profile_id": profile_id,
-        "r": frame.r,
-        "s": frame.s,
-        "indices": list(frame.indices),
-        "nonce": frame.nonce,
-        "issued_at": frame.issued_at,
-    }
+    obj = {"version": FRAME_VERSION, "profile_id": profile_id,
+           **asdict(frame)}
     return json.dumps(obj, indent=2) + "\n"
 
 
 def frame_from_json(text: str):
     """Parse a frame file; returns (frame, profile_id)."""
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested too deeply to decode
-        raise FrameInvalid(f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise FrameInvalid("frame file must hold a JSON object")
-    unknown = set(obj) - set(_FRAME_KEYS)
-    if unknown:
-        raise FrameInvalid(f"unknown frame keys: {sorted(unknown)}")
-    missing = set(_FRAME_KEYS) - set(obj)
-    if missing:
-        raise FrameInvalid(f"missing frame keys: {sorted(missing)}")
-    if obj["version"] != FRAME_VERSION:
-        raise FrameInvalid(f"unsupported frame version {obj['version']}")
-    for key in ("r", "s", "nonce", "issued_at"):
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-            raise FrameInvalid(f"{key} must be an integer")
-    if (not isinstance(obj["indices"], list)
-            or not all(isinstance(i, int) and not isinstance(i, bool)
-                       for i in obj["indices"])):
-        raise FrameInvalid("indices must be a list of integers")
-    frame = KeyFrame(r=obj["r"], s=obj["s"], indices=tuple(obj["indices"]),
-                     nonce=obj["nonce"], issued_at=obj["issued_at"])
-    return frame, obj["profile_id"]
+    obj = _read_json_file(text, _FRAME_TYPES, FRAME_VERSION, FrameInvalid, "frame")
+    profile_id = obj.pop("profile_id")
+    return KeyFrame(**{**obj, "indices": tuple(obj["indices"])}), profile_id
 
 
 def save_frame(frame: KeyFrame, profile_id: str, path) -> None:

@@ -7,13 +7,16 @@ applied as an isotopy to a canonical cyclic base square.  The mapping is a
 pure function, so every device holding the same profile reconstructs the
 same table -- and because the nonce participates, the table behind a given
 index changes whenever the authority rotates the nonce.
+
+The text alphabets live here too, because the profile names one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
@@ -26,13 +29,46 @@ from .seeds import derive_seed, permutation_from_seed
 DEFAULT_DB_SEED = 0x243F6A8885A308D3
 
 PROFILE_VERSION = 1
-_PROFILE_KEYS = ("profile_id", "db_seed", "r_min", "r_max", "s_max", "k", "m",
-                 "index_max", "T", "T1", "alphabet_id", "version")
 
-# Must stay in step with codec.ALPHABETS (kept as literals here to avoid a
-# circular import; a test pins the two together).
-KNOWN_ALPHABET_IDS = ("latin27", "latin41")
 
+# --- alphabets ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Alphabet:
+    """Invertible character coding: char_to_symbol and symbol_to_char are
+    mutual inverses on their domains."""
+
+    id: str
+    char_to_symbol: Mapping = field(repr=False)
+    symbol_to_char: Mapping = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.char_to_symbol)
+
+
+def _make_alphabet(alphabet_id: str, chars: str) -> Alphabet:
+    c2s = {ch: i for i, ch in enumerate(chars, 1)}
+    s2c = {i: ch for i, ch in enumerate(chars, 1)}
+    return Alphabet(id=alphabet_id, char_to_symbol=c2s, symbol_to_char=s2c)
+
+
+# A..Z plus space is the default; the extension adds punctuation and digits.
+LATIN27 = _make_alphabet("latin27", "ABCDEFGHIJKLMNOPQRSTUVWXYZ ")
+LATIN41 = _make_alphabet("latin41", "ABCDEFGHIJKLMNOPQRSTUVWXYZ .,0123456789'\n")
+
+ALPHABETS = {a.id: a for a in (LATIN27, LATIN41)}
+
+
+def get_alphabet(alphabet_id: str) -> Alphabet:
+    try:
+        return ALPHABETS[alphabet_id]
+    except KeyError:
+        raise KeyError(f"unknown alphabet {alphabet_id!r}; "
+                       f"choose from {sorted(ALPHABETS)}") from None
+
+
+# --- network profile -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class NetworkProfile:
@@ -55,7 +91,7 @@ class NetworkProfile:
     index_max: int = 1000
     nonce_upper: int = 1000
     nonce_lower: int = 100
-    alphabet_id: str = "latin27"
+    alphabet_id: str = LATIN27.id
 
     def __post_init__(self):
         if self.r_min < 2:
@@ -80,7 +116,7 @@ class NetworkProfile:
             raise ProfileInvalid("nonce_upper must exceed nonce_lower + 1")
         if not 0 <= self.db_seed < (1 << 64):
             raise ProfileInvalid("db_seed must be an unsigned 64-bit integer")
-        if self.alphabet_id not in KNOWN_ALPHABET_IDS:
+        if self.alphabet_id not in ALPHABETS:
             raise ProfileInvalid(f"unknown alphabet_id {self.alphabet_id!r}")
 
 
@@ -90,65 +126,76 @@ def default_profile() -> NetworkProfile:
 
 # --- profile file format ----------------------------------------------------
 
+# File key of each NetworkProfile field, in file order (the field order);
+# four fields go by the paper's names k, m, T and T1.  Both profile_to_json
+# and profile_from_json follow this one mapping.
+_PROFILE_KEYS = {
+    {"level_count": "k", "split": "m", "nonce_upper": "T",
+     "nonce_lower": "T1"}.get(f.name, f.name): f.name
+    for f in fields(NetworkProfile)
+}
+# db_seed is a decimal string: a JSON reader using doubles loses 64-bit values.
+_PROFILE_TYPES = {key: str if key in ("profile_id", "db_seed", "alphabet_id")
+                  else int for key in _PROFILE_KEYS}
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list of integers"}
+
+
+def _conforms(value, kind) -> bool:
+    """isinstance, except that a bool is no integer and a list must hold
+    integers only."""
+    if kind is list:
+        return isinstance(value, list) and all(_conforms(v, int) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _read_json_file(text: str, types: dict, version: int, error: type,
+                    what: str) -> dict:
+    """Strict reader shared by the profile and frame files.
+
+    The text must be a JSON object whose keys are exactly `types` plus
+    "version", with that integer version and each value of the kind
+    `types` names (int, str, or list for a list of integers; a bool is no
+    integer).  Any failure raises `error`.  Returns the object without
+    its "version" key.
+    """
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
+        raise error(f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} file must hold a JSON object")
+    keys = set(types) | {"version"}
+    if set(obj) - keys:
+        raise error(f"unknown {what} keys: {sorted(set(obj) - keys)}")
+    if keys - set(obj):
+        raise error(f"missing {what} keys: {sorted(keys - set(obj))}")
+    found = obj.pop("version")
+    if not _conforms(found, int) or found != version:
+        raise error(f"unsupported {what} version {found}")
+    for key, kind in types.items():
+        if not _conforms(obj[key], kind):
+            raise error(f"{key} must be {_TYPE_NAMES[kind]}")
+    return obj
+
+
 def profile_to_json(profile: NetworkProfile) -> str:
     """Serialize to the fixed-order JSON object (db_seed as decimal string)."""
-    obj = {
-        "profile_id": profile.profile_id,
-        "db_seed": str(profile.db_seed),
-        "r_min": profile.r_min,
-        "r_max": profile.r_max,
-        "s_max": profile.s_max,
-        "k": profile.level_count,
-        "m": profile.split,
-        "index_max": profile.index_max,
-        "T": profile.nonce_upper,
-        "T1": profile.nonce_lower,
-        "alphabet_id": profile.alphabet_id,
-        "version": PROFILE_VERSION,
-    }
+    obj = {key: getattr(profile, name) for key, name in _PROFILE_KEYS.items()}
+    obj["db_seed"] = str(profile.db_seed)
+    obj["version"] = PROFILE_VERSION
     return json.dumps(obj, indent=2) + "\n"
 
 
 def profile_from_json(text: str) -> NetworkProfile:
     """Parse a profile file; unknown or missing keys are rejected."""
+    obj = _read_json_file(text, _PROFILE_TYPES, PROFILE_VERSION,
+                          ProfileInvalid, "profile")
     try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested too deeply to decode
-        raise ProfileInvalid(f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ProfileInvalid("profile file must hold a JSON object")
-    unknown = set(obj) - set(_PROFILE_KEYS)
-    if unknown:
-        raise ProfileInvalid(f"unknown profile keys: {sorted(unknown)}")
-    missing = set(_PROFILE_KEYS) - set(obj)
-    if missing:
-        raise ProfileInvalid(f"missing profile keys: {sorted(missing)}")
-    if obj["version"] != PROFILE_VERSION:
-        raise ProfileInvalid(f"unsupported profile version {obj['version']}")
-    for key in ("r_min", "r_max", "s_max", "k", "m", "index_max", "T", "T1"):
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-            raise ProfileInvalid(f"{key} must be an integer")
-    for key in ("profile_id", "db_seed", "alphabet_id"):
-        if not isinstance(obj[key], str):
-            raise ProfileInvalid(f"{key} must be a string")
-    try:
-        db_seed = int(obj["db_seed"])
+        obj["db_seed"] = int(obj["db_seed"])
     except ValueError:
         raise ProfileInvalid("db_seed must be a decimal string") from None
-    return NetworkProfile(
-        profile_id=obj["profile_id"],
-        db_seed=db_seed,
-        r_min=obj["r_min"],
-        r_max=obj["r_max"],
-        s_max=obj["s_max"],
-        level_count=obj["k"],
-        split=obj["m"],
-        index_max=obj["index_max"],
-        nonce_upper=obj["T"],
-        nonce_lower=obj["T1"],
-        alphabet_id=obj["alphabet_id"],
-    )
+    return NetworkProfile(**{name: obj[key] for key, name in _PROFILE_KEYS.items()})
 
 
 def save_profile(profile: NetworkProfile, path) -> None:

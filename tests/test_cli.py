@@ -295,6 +295,18 @@ def test_deeply_nested_profile_is_an_error_not_a_traceback(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--case", "1", "--max-lag", "-1"],
+    ["simulate", "--duration", "nan"],
+    ["simulate", "--duration", "inf"],
+])
+def test_bad_numeric_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     expected = f"qgcipher {qg.__version__}\n"
     with pytest.raises(SystemExit) as err:

@@ -181,6 +181,18 @@ def test_frame_json_rejects_deeply_nested_json():
         qg.frame_from_json("[" * 100_000)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("r", False), ("nonce", 201.0), ("indices", [1, True]), ("indices", 5),
+    ("profile_id", None), ("version", "1"), ("version", True),
+])
+def test_frame_json_rejects_wrong_value_types(profile, key, value):
+    import json
+    obj = json.loads(qg.frame_to_json(qg.generate_frame(profile, 1), "default"))
+    obj[key] = value
+    with pytest.raises(FrameInvalid, match=key):
+        qg.frame_from_json(json.dumps(obj))
+
+
 def test_frame_json_rejects_unknown_keys(profile):
     import json
     obj = json.loads(qg.frame_to_json(qg.generate_frame(profile, 1), "default"))

@@ -121,6 +121,19 @@ def test_profile_rejects_deeply_nested_json():
         qg.profile_from_json("[" * 100_000)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", True), ("T1", 1.5), ("r_min", "32"), ("profile_id", 7),
+    ("db_seed", 1), ("db_seed", "0x10"), ("version", 2), ("version", True),
+    ("version", 1.0),
+])
+def test_profile_rejects_wrong_value_types(profile, key, value):
+    import json
+    obj = json.loads(qg.profile_to_json(profile))
+    obj[key] = value
+    with pytest.raises(ProfileInvalid, match=key):
+        qg.profile_from_json(json.dumps(obj))
+
+
 def test_profile_rejects_missing_keys(profile):
     import json
     obj = json.loads(qg.profile_to_json(profile))
@@ -147,9 +160,12 @@ def test_profile_invariants(fields):
         dataclasses.replace(qg.default_profile(), **fields)
 
 
-def test_known_alphabet_ids_match_codec():
-    from qgcipher.qgdb import KNOWN_ALPHABET_IDS
-    assert set(KNOWN_ALPHABET_IDS) == set(qg.ALPHABETS)
+def test_profile_accepts_exactly_the_defined_alphabets():
+    for alphabet_id in qg.ALPHABETS:
+        profile = dataclasses.replace(qg.default_profile(), alphabet_id=alphabet_id)
+        assert qg.get_alphabet(profile.alphabet_id).id == alphabet_id
+    with pytest.raises(ProfileInvalid):
+        dataclasses.replace(qg.default_profile(), alphabet_id="latin99")
 
 
 def test_fingerprint_is_length_sensitive():
