@@ -38,6 +38,17 @@ def parse_legacy_key(text: str) -> keying.KeyFrame:
     return keying.KeyFrame(r=r, s=s, indices=tuple(entries[2:]), nonce=0)
 
 
+# Largest order an inline key may name.  The key comes from the command
+# line, not from a profile, and each level's table and its inverse are
+# built as padded nested lists: about 270 MB together at order 4096, and
+# tens of GB near the container's 65535 limit.
+MAX_INLINE_ORDER = 4096
+
+# Longest `simulate --duration`, in units of the profile's nonce upper
+# bound: 200,000 sends under the default profile.
+MAX_SIM_DURATION = 10_000
+
+
 def _default_split(level_count: int) -> int:
     """Levels of order r when none is named: half the levels, rounded up."""
     return math.ceil(level_count / 2)
@@ -51,6 +62,9 @@ def _inline_key(args, base: qgdb.NetworkProfile):
     k = len(frame.indices)
     if k < 2:
         raise OrderViolation("inline keys need at least 2 indices")
+    if frame.s > MAX_INLINE_ORDER:
+        raise OrderViolation(f"inline key order {frame.s} exceeds the maximum "
+                             f"{MAX_INLINE_ORDER}")
     profile = dataclasses.replace(
         base,
         r_min=min(base.r_min, frame.r),
@@ -69,10 +83,12 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _finite_float(text: str) -> float:
-    if not math.isfinite(float(text)):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return float(text)
+def _sim_duration(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value <= MAX_SIM_DURATION):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number at most {MAX_SIM_DURATION}, got {text}")
+    return value
 
 
 # --- small I/O helpers ----------------------------------------------------------
@@ -333,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the authority/node simulation")
     p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--duration", type=_finite_float, default=10.0,
+    p.add_argument("--duration", type=_sim_duration, default=10.0,
                    help="run length in units of the nonce upper bound "
-                        "(default 10)")
+                        f"(default 10, at most {MAX_SIM_DURATION})")
     p.add_argument("--margin", type=int, default=None,
                    help="rekey margin (default: half the nonce lower bound)")
     p.add_argument("--seed", type=int, default=1)

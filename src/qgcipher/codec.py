@@ -97,13 +97,14 @@ def text_to_symbols(text: str, alphabet: Alphabet = LATIN27) -> SymbolStream:
     original (pre-fold) character of the first failure.
     """
     folded = fold_text(text)
-    try:
-        symbols = tuple(map(alphabet.char_to_symbol.__getitem__, folded))
-    except KeyError as exc:
-        # map stops at the first unmappable character, so its first
-        # occurrence is the failing position; folding keeps positions.
-        pos = folded.index(exc.args[0])
-        raise UnmappableCharacter(pos + 1, text[pos]) from None
+    if not alphabet._chars.issuperset(folded):
+        # folding keeps positions, so the position in `folded` is the
+        # position in `text`
+        pos = next(pos for pos, ch in enumerate(folded)
+                   if ch not in alphabet._chars)
+        raise UnmappableCharacter(pos + 1, text[pos])
+    # each character becomes the code point of its symbol (at most 255)
+    symbols = tuple(folded.translate(alphabet._to_symbol).encode("latin-1"))
     return SymbolStream(order=alphabet.size, symbols=symbols)
 
 
@@ -114,26 +115,28 @@ def symbols_to_text(stream: SymbolStream, alphabet: Alphabet = LATIN27) -> str:
         raise SymbolOutOfRange(
             f"symbol {sym} at position {pos} exceeds alphabet "
             f"size {alphabet.size}", position=pos)
-    return "".join(map(alphabet.symbol_to_char.__getitem__, stream.symbols))
+    return bytes(stream.symbols).decode("latin-1").translate(alphabet._to_char)
 
 
 # --- single-level transformation ----------------------------------------------
 
 def _chain(rows: list, leader: int, symbols) -> list:
-    """out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
+    """out[1] = leader * in[1], out[i] = out[i-1] * in[i], over a square's
+    padded 1-indexed rows (rows[a][b] == a * b)."""
     out = []
     prev = leader
     for sym in symbols:
-        prev = rows[prev - 1][sym - 1]
+        prev = rows[prev][sym]
         out.append(prev)
     return out
 
 
 def _unchain(inv_rows: list, leader: int, symbols) -> list:
-    """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i].  The row is
-    looked up before `prev` moves on to the current symbol."""
+    """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i], over the inverse's
+    padded rows.  The row is looked up before `prev` moves on to the
+    current symbol."""
     prev = leader
-    return [inv_rows[prev - 1][(prev := sym) - 1] for sym in symbols]
+    return [inv_rows[prev][(prev := sym)] for sym in symbols]
 
 
 def _check_level_args(square: LatinSquare, leader: int, stream: SymbolStream):
@@ -151,7 +154,7 @@ def encrypt_level(square: LatinSquare, leader: int,
     """One chained pass: out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
     _check_level_args(square, leader, stream)
     return SymbolStream(order=square.order,
-                        symbols=_chain(square.rows, leader, stream.symbols))
+                        symbols=_chain(square._rows, leader, stream.symbols))
 
 
 def decrypt_level(square: LatinSquare, leader: int,
@@ -159,7 +162,7 @@ def decrypt_level(square: LatinSquare, leader: int,
     """Exact inverse of encrypt_level over the same table and leader:
     out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i]."""
     _check_level_args(square, leader, cipher)
-    inv_rows = left_inverse(square).rows
+    inv_rows = left_inverse(square)._rows
     return SymbolStream(order=square.order,
                         symbols=_unchain(inv_rows, leader, cipher.symbols))
 
@@ -195,7 +198,7 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     symbols = plaintext.symbols
     for order, index, q in zip(orders, frame.indices, key.multipliers):
         square = get_quasigroup(profile, order, index, frame.nonce)
-        symbols = _chain(square.rows, q, symbols)
+        symbols = _chain(square._rows, q, symbols)
     return SymbolStream(order=frame.s, symbols=symbols)
 
 
@@ -211,7 +214,7 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     for order, index, q in zip(reversed(orders), reversed(frame.indices),
                                reversed(key.multipliers)):
         square = get_quasigroup(profile, order, index, frame.nonce)
-        symbols = _unchain(left_inverse(square).rows, q, symbols)
+        symbols = _unchain(left_inverse(square)._rows, q, symbols)
     return SymbolStream(order=frame.r, symbols=symbols)
 
 

@@ -7,7 +7,8 @@ materializes the left-inverse parastrophe used for decryption, and applies
 isotopies (row/column/symbol permutations).
 
 All interfaces speak 1-indexed symbols, matching the usual way these
-tables are printed; storage is 0-indexed numpy underneath.
+tables are printed; storage is 0-indexed numpy underneath, in the smallest
+unsigned integer type that holds the order (uint8 below 256, else uint16).
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ class LatinSquare:
     """
 
     def __init__(self, table: np.ndarray):
-        table = np.ascontiguousarray(table, dtype=np.int32)
+        order = int(np.shape(table)[0])
+        table = np.ascontiguousarray(
+            table, dtype=np.uint8 if order < 256 else np.uint16)
         table.setflags(write=False)
         self._table = table
-        self.order = int(table.shape[0])
+        self.order = order
 
     @property
     def table(self) -> np.ndarray:
@@ -51,14 +54,25 @@ class LatinSquare:
         return self._table
 
     @cached_property
-    def rows(self) -> list:
-        """Table as nested lists, for tight per-symbol loops."""
-        return self._table.tolist()
+    def _rows(self) -> list:
+        """The table as (n+1) x (n+1) nested lists with a zero row 0 and a
+        zero column 0, so that _rows[a][b] == a * b for 1-indexed symbols.
+        Indexing a list with an int is the interpreter's fastest lookup,
+        which is what the codec's per-symbol chain loops need."""
+        n = self.order
+        padded = np.zeros((n + 1, n + 1), dtype=self._table.dtype)
+        padded[1:, 1:] = self._table
+        if n <= 256:
+            return padded.tolist()
+        # CPython shares one int object per value up to 256 only; above
+        # that, tolist() would make an int object per entry, so the rows
+        # reference one shared object per symbol (4x smaller at order 1024).
+        return np.array(range(n + 1), dtype=object)[padded].tolist()
 
     @cached_property
     def _inverse(self) -> "LatinSquare":
         n = self.order
-        inv = np.empty((n, n), dtype=np.int32)
+        inv = np.empty((n, n), dtype=self._table.dtype)
         inv[np.arange(n)[:, None], self._table - 1] = np.arange(1, n + 1)
         return LatinSquare(inv)
 
@@ -194,5 +208,5 @@ def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,
 def format_table(square: LatinSquare) -> str:
     """Dump format: first line ``order n``, then n rows of n decimal symbols."""
     lines = [f"order {square.order}"]
-    lines.extend(" ".join(str(v) for v in row) for row in square.rows)
+    lines.extend(" ".join(str(v) for v in row) for row in square.table.tolist())
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid
+from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
 from .latin import MAX_ORDER, LatinSquare, apply_isotopy
 from .seeds import derive_seed, permutation_from_seed
 
@@ -33,14 +33,43 @@ PROFILE_VERSION = 1
 
 # --- alphabets ---------------------------------------------------------------
 
+# The codec carries an alphabet's symbols through str.translate as latin-1
+# code points, one byte each, so an alphabet has at most 255 symbols.
+MAX_ALPHABET_SIZE = 255
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Invertible character coding: char_to_symbol and symbol_to_char are
-    mutual inverses on their domains."""
+    mutual inverses between single characters and the symbols 1..size,
+    with size at most MAX_ALPHABET_SIZE.
+
+    The codec's translate tables are derived here: _chars is the character
+    set, _to_symbol maps each character to the code point of its symbol,
+    and _to_char maps that code point back to the character."""
 
     id: str
     char_to_symbol: Mapping = field(repr=False)
     symbol_to_char: Mapping = field(repr=False)
+    _chars: frozenset = field(init=False, repr=False, compare=False)
+    _to_symbol: dict = field(init=False, repr=False, compare=False)
+    _to_char: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = len(self.char_to_symbol)
+        if not 1 <= size <= MAX_ALPHABET_SIZE:
+            raise InvalidOrder(f"alphabet {self.id!r} has {size} symbols, "
+                               f"outside 1..{MAX_ALPHABET_SIZE}")
+        if (sorted(self.char_to_symbol.values()) != list(range(1, size + 1))
+                or dict(self.symbol_to_char)
+                != {sym: ch for ch, sym in self.char_to_symbol.items()}):
+            raise SymbolOutOfRange(f"alphabet {self.id!r} is not a bijection "
+                                   f"between its characters and 1..{size}")
+        object.__setattr__(self, "_chars", frozenset(self.char_to_symbol))
+        object.__setattr__(self, "_to_symbol", str.maketrans(
+            {ch: chr(sym) for ch, sym in self.char_to_symbol.items()}))
+        object.__setattr__(self, "_to_char", str.maketrans(
+            {chr(sym): ch for sym, ch in self.symbol_to_char.items()}))
 
     @property
     def size(self) -> int:
@@ -191,10 +220,11 @@ def profile_from_json(text: str) -> NetworkProfile:
     """Parse a profile file; unknown or missing keys are rejected."""
     obj = _read_json_file(text, _PROFILE_TYPES, PROFILE_VERSION,
                           ProfileInvalid, "profile")
-    try:
-        obj["db_seed"] = int(obj["db_seed"])
-    except ValueError:
-        raise ProfileInvalid("db_seed must be a decimal string") from None
+    # int() would also take whitespace, underscores, a sign and non-ASCII
+    # digits, so that files with different bytes would name one seed.
+    if not (obj["db_seed"].isascii() and obj["db_seed"].isdigit()):
+        raise ProfileInvalid("db_seed must be a string of ASCII decimal digits")
+    obj["db_seed"] = int(obj["db_seed"])
     return NetworkProfile(**{name: obj[key] for key, name in _PROFILE_KEYS.items()})
 
 

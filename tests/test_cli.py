@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import qgcipher as qg
+from qgcipher import cli, codec, qgdb
 from qgcipher.cli import main, parse_legacy_key
 from qgcipher.errors import NotANumber, OrderViolation, TooFewEntries
 
@@ -299,12 +300,50 @@ def test_deeply_nested_profile_is_an_error_not_a_traceback(tmp_path, capsys):
     ["analyze", "--case", "1", "--max-lag", "-1"],
     ["simulate", "--duration", "nan"],
     ["simulate", "--duration", "inf"],
+    ["simulate", "--duration", "-inf"],
 ])
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_duration_is_capped(capsys):
+    # parsed only, so that a missing cap fails here instead of running on
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(["simulate", "--duration", "1e300"])
+    assert err.value.code == 2
+    assert f"at most {cli.MAX_SIM_DURATION}" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(
+        ["simulate", "--duration", str(cli.MAX_SIM_DURATION)])
+    assert args.duration == cli.MAX_SIM_DURATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["decrypt", "--text", "--key", "20, 65000, 1, 2"],
+    ["decrypt", "--text", "--key", f"20, {cli.MAX_INLINE_ORDER + 1}, 1, 2"],
+    ["legacy-encrypt", "--key", "20, 65000, 1, 2"],
+])
+def test_inline_key_order_is_capped_before_any_table(argv, tmp_path, capsys,
+                                                     monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a table was requested")
+    monkeypatch.setattr(qgdb, "get_quasigroup", no_tables)
+    monkeypatch.setattr(codec, "get_quasigroup", no_tables)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(argv + ["--in", str(empty)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"maximum {cli.MAX_INLINE_ORDER}" in err
+
+
+def test_inline_key_at_the_order_cap_is_accepted():
+    args = cli.build_parser().parse_args(
+        ["decrypt", "--text", "--key", f"20, {cli.MAX_INLINE_ORDER}, 1, 2"])
+    frame, profile = cli._inline_key(args, qg.default_profile())
+    assert frame.s == profile.s_max == cli.MAX_INLINE_ORDER
 
 
 def test_version_flag(capsys):

@@ -9,6 +9,7 @@ import qgcipher as qg
 from qgcipher.errors import (
     CiphertextSymbolTooLarge,
     ContainerError,
+    InvalidOrder,
     KeyMismatch,
     LeaderOutOfRange,
     PlaintextSymbolTooLarge,
@@ -85,7 +86,7 @@ def _oracle_chain(table, leader, symbols):
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
 def test_single_level_matches_oracle_exhaustively(order, profile):
     square = qg.get_quasigroup(profile, order, 1, 99)
-    table = square.rows
+    table = square.table.tolist()
     for leader in range(1, order + 1):
         for length in range(5):
             for symbols in itertools.product(range(1, order + 1), repeat=length):
@@ -93,6 +94,30 @@ def test_single_level_matches_oracle_exhaustively(order, profile):
                 out = qg.encrypt_level(square, leader, stream)
                 assert list(out.symbols) == _oracle_chain(table, leader, list(symbols))
                 assert qg.decrypt_level(square, leader, out) == stream
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_levels_match_multiply_and_left_divide(data):
+    # Orders on both sides of 256, where the storage switches from uint8 to
+    # uint16 and the padded rows switch to shared int objects.
+    order = data.draw(st.sampled_from([2, 3, 254, 255, 256, 257]))
+    square = qg.get_quasigroup(qg.default_profile(), order,
+                               data.draw(st.integers(1, 3)), 11)
+    leader = data.draw(st.integers(1, order))
+    symbols = data.draw(st.lists(st.integers(1, order), max_size=40))
+    want, prev = [], leader
+    for sym in symbols:
+        prev = qg.multiply(square, prev, sym)
+        want.append(prev)
+    cipher = qg.encrypt_level(square, leader, qg.SymbolStream(order, symbols))
+    assert list(cipher.symbols) == want
+    plain, prev = [], leader
+    for sym in cipher.symbols:
+        plain.append(qg.left_divide(square, prev, sym))
+        prev = sym
+    assert plain == symbols
+    assert list(qg.decrypt_level(square, leader, cipher).symbols) == symbols
 
 
 # --- multi-level encryptor ------------------------------------------------------------
@@ -202,6 +227,10 @@ def test_key_mismatch(profile):
 
 # --- text mapping -------------------------------------------------------------------------
 
+LETTERS = qg.Alphabet("letters", {"A": 1, "B": 2}, {1: "A", 2: "B"})
+TEXT_ALPHABETS = [qg.LATIN27, qg.LATIN41, LETTERS]
+
+
 def test_text_to_symbols_example():
     assert qg.text_to_symbols("K K", qg.LATIN27).symbols == (11, 27, 11)
 
@@ -221,10 +250,69 @@ def test_unmappable_character_after_folded_characters():
         qg.text_to_symbols("ab\tc\u3000d?e?", qg.LATIN27)
     assert (err.value.position, err.value.char) == (7, "?")
     # without a space symbol, a folded whitespace character is the failure
-    letters = qg.Alphabet("letters", {"A": 1, "B": 2}, {1: "A", 2: "B"})
     with pytest.raises(UnmappableCharacter) as err:
-        qg.text_to_symbols("ab\u3000a\tb", letters)
+        qg.text_to_symbols("ab\u3000a\tb", LETTERS)
     assert (err.value.position, err.value.char) == (3, "\u3000")
+
+
+# Alphabet characters, foldable whitespace, unmappable ASCII (including the
+# control codes whose code points equal symbols) and non-ASCII characters.
+_MIXED = ("ABKZabkz .,09'\n" + "\t\r\x0b\x1c\x85\xa0\u3000"
+          + "?!~\x00\x01\x02\x1b\x7f" + "\xe9\xff\u0100\u20ac\U0001F600")
+
+
+def _dict_text_to_symbols(text, alphabet):
+    """Reference: map each folded character through char_to_symbol."""
+    folded = qg.fold_text(text)
+    for pos, ch in enumerate(folded):
+        if ch not in alphabet.char_to_symbol:
+            raise UnmappableCharacter(pos + 1, text[pos])
+    return tuple(alphabet.char_to_symbol[ch] for ch in folded)
+
+
+@given(text=st.text(alphabet="ABab .\t\u3000", max_size=40)
+       | st.text(alphabet=_MIXED, max_size=40),
+       alphabet=st.sampled_from(TEXT_ALPHABETS))
+def test_text_to_symbols_matches_dict_oracle(text, alphabet):
+    try:
+        want = _dict_text_to_symbols(text, alphabet)
+    except UnmappableCharacter as exc:
+        with pytest.raises(UnmappableCharacter) as err:
+            qg.text_to_symbols(text, alphabet)
+        assert (err.value.position, err.value.char) == (exc.position, exc.char)
+    else:
+        assert qg.text_to_symbols(text, alphabet).symbols == want
+
+
+@given(data=st.data())
+def test_symbols_to_text_matches_dict_oracle(data):
+    alphabet = data.draw(st.sampled_from(TEXT_ALPHABETS))
+    symbols = data.draw(st.lists(st.integers(1, alphabet.size), max_size=40))
+    stream = qg.SymbolStream(alphabet.size, symbols)
+    assert qg.symbols_to_text(stream, alphabet) == "".join(
+        alphabet.symbol_to_char[sym] for sym in symbols)
+
+
+def _alphabet(chars):
+    return qg.Alphabet("test", {ch: i for i, ch in enumerate(chars, 1)},
+                       {i: ch for i, ch in enumerate(chars, 1)})
+
+
+def test_alphabet_is_a_bijection_onto_at_most_255_symbols():
+    chars = "".join(map(chr, range(0x100, 0x200)))     # 256, none folds
+    largest = _alphabet(chars[:255])
+    assert largest.size == 255
+    text = chars[254::-1]
+    stream = qg.text_to_symbols(text, largest)
+    assert stream.symbols == tuple(range(255, 0, -1))
+    assert qg.symbols_to_text(stream, largest) == text
+    for bad in (chars, ""):
+        with pytest.raises(InvalidOrder):
+            _alphabet(bad)
+    with pytest.raises(SymbolOutOfRange):
+        qg.Alphabet("gap", {"A": 1, "B": 3}, {1: "A", 3: "B"})
+    with pytest.raises(SymbolOutOfRange):
+        qg.Alphabet("skew", {"A": 1, "B": 2}, {1: "B", 2: "A"})
 
 
 def test_symbols_to_text_example():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from conftest import ORDER4_TABLE
 
 def test_order4_table_is_valid(g4):
     assert g4.order == 4
-    assert g4.rows == ORDER4_TABLE
+    assert g4.table.tolist() == ORDER4_TABLE
 
 
 def test_identity_table_is_valid():
@@ -98,7 +100,7 @@ def test_operations_total_and_match_scan_oracle():
     # totality on 1..n x 1..n against the row-scan oracle, on a
     # generated square large enough to be non-trivial
     square = qg.get_quasigroup(qg.default_profile(), 9, 5, 123)
-    table = square.rows
+    table = square.table.tolist()
     for a in range(1, 10):
         for b in range(1, 10):
             assert qg.multiply(square, a, b) == table[a - 1][b - 1]
@@ -109,13 +111,13 @@ def test_operations_total_and_match_scan_oracle():
 
 def test_left_inverse_rows(g4):
     inv = qg.left_inverse(g4)
-    assert inv.rows[0] == [3, 1, 2, 4]
-    assert inv.rows[3] == [1, 2, 4, 3]
+    assert inv.table.tolist()[0] == [3, 1, 2, 4]
+    assert inv.table.tolist()[3] == [1, 2, 4, 3]
 
 
 def test_left_inverse_order_one():
     one = qg.validate_latin_square([[1]])
-    assert qg.left_inverse(one).rows == [[1]]
+    assert qg.left_inverse(one).table.tolist() == [[1]]
 
 
 def test_left_inverse_is_valid_and_involutive(g4):
@@ -136,9 +138,9 @@ def test_row_swap_isotopy():
     alpha = qg.Permutation((2, 1, 3))
     ident = qg.Permutation.identity(3)
     swapped = qg.apply_isotopy(cyclic, alpha, ident, ident)
-    assert swapped.rows[0] == cyclic.rows[1]
-    assert swapped.rows[1] == cyclic.rows[0]
-    assert swapped.rows[2] == cyclic.rows[2]
+    assert swapped.table.tolist()[0] == cyclic.table.tolist()[1]
+    assert swapped.table.tolist()[1] == cyclic.table.tolist()[0]
+    assert swapped.table.tolist()[2] == cyclic.table.tolist()[2]
 
 
 def test_isotopy_size_mismatch(g4):
@@ -181,3 +183,27 @@ def test_table_is_read_only(g4):
     with pytest.raises(ValueError):
         g4.table[0, 0] = 9
     assert np.array_equal(g4.table, np.array(ORDER4_TABLE))
+
+
+# --- storage ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order, dtype", [
+    (2, np.uint8), (3, np.uint8), (254, np.uint8), (255, np.uint8),
+    (256, np.uint16), (257, np.uint16),
+])
+def test_table_dtype_is_the_smallest_that_fits(order, dtype):
+    square = qg.get_quasigroup(qg.default_profile(), order, 1, 5)
+    assert square.table.dtype == dtype
+    assert qg.left_inverse(square).table.dtype == dtype
+    assert int(square.table.max()) == order
+
+
+def test_format_table_bytes_at_order_256_are_pinned():
+    # Order 256 is the first stored as uint16; qg-dump output must not move.
+    square = qg.get_quasigroup(qg.default_profile(), 256, 1, 0)
+    digests = [hashlib.sha256(qg.format_table(s).encode()).hexdigest()
+               for s in (square, qg.left_inverse(square))]
+    assert digests == [
+        "8c0a274be29cffee19087e0532f117ac63f310d9f7e1b5bd3d597659c3a89b3a",
+        "22475139c1a5afe475d6e3636d67e3ee51780060123f2e74e6f8bec9b134000f",
+    ]

@@ -12,11 +12,11 @@ from qgcipher.errors import IndexOutOfRange, InvalidOrder, ProfileInvalid
 # --- base square ------------------------------------------------------------------
 
 def test_base_square_order_one():
-    assert qg.base_square(1).rows == [[1]]
+    assert qg.base_square(1).table.tolist() == [[1]]
 
 
 def test_base_square_order_three():
-    assert qg.base_square(3).rows == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+    assert qg.base_square(3).table.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 64, 256])
@@ -123,8 +123,9 @@ def test_profile_rejects_deeply_nested_json():
 
 @pytest.mark.parametrize("key, value", [
     ("k", True), ("T1", 1.5), ("r_min", "32"), ("profile_id", 7),
-    ("db_seed", 1), ("db_seed", "0x10"), ("version", 2), ("version", True),
-    ("version", 1.0),
+    ("db_seed", 1), ("db_seed", "0x10"), ("db_seed", " 1_0 "), ("db_seed", "+10"),
+    ("db_seed", "\u0661\u0660"), ("db_seed", ""), ("version", 2),
+    ("version", True), ("version", 1.0),
 ])
 def test_profile_rejects_wrong_value_types(profile, key, value):
     import json
