@@ -48,6 +48,11 @@ MAX_INLINE_ORDER = 4096
 # bound: 200,000 sends under the default profile.
 MAX_SIM_DURATION = 10_000
 
+# Most sends one `simulate` run may take.  A send comes every T1 // 2 time
+# units, so a profile with a wide nonce window (large T, small T1) needs
+# this bound as well as the duration's.
+MAX_SIM_STEPS = 200_000
+
 
 def _default_split(level_count: int) -> int:
     """Levels of order r when none is named: half the levels, rounded up."""
@@ -222,12 +227,16 @@ def cmd_analyze(args):
 
 def cmd_simulate(args):
     profile, _ = _load_profile(args)
+    horizon = int(args.duration * profile.nonce_upper)
+    step = max(1, profile.nonce_lower // 2)
+    sends = -(-horizon // step)
+    if sends > MAX_SIM_STEPS:
+        raise QGError(f"simulate would take {sends} sends, more than the "
+                      f"maximum {MAX_SIM_STEPS}; shorten --duration")
     sim = tasim.sim_init(profile, args.nodes, args.seed,
                          rekey_margin=args.margin,
                          auto_rekey=not args.no_rekey)
     tasim.issue_frame(sim)
-    horizon = int(args.duration * profile.nonce_upper)
-    step = max(1, profile.nonce_lower // 2)
     sender = 0
     node_ids = sorted(sim.nodes, key=lambda node_id: int(node_id[4:]))
     while sim.clock < horizon:

@@ -62,11 +62,13 @@ class LatinSquare:
         n = self.order
         padded = np.zeros((n + 1, n + 1), dtype=self._table.dtype)
         padded[1:, 1:] = self._table
+        # Up to 256, tolist() already shares CPython's cached small ints, and
+        # it builds about twice as fast as the gather below; cold builds set
+        # simulate's send tail.  Above 256 it would make an int object per
+        # entry, so the rows gather one shared object per symbol instead
+        # (4x smaller at order 1024).
         if n <= 256:
             return padded.tolist()
-        # CPython shares one int object per value up to 256 only; above
-        # that, tolist() would make an int object per entry, so the rows
-        # reference one shared object per symbol (4x smaller at order 1024).
         return np.array(range(n + 1), dtype=object)[padded].tolist()
 
     @cached_property

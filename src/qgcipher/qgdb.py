@@ -220,11 +220,16 @@ def profile_from_json(text: str) -> NetworkProfile:
     """Parse a profile file; unknown or missing keys are rejected."""
     obj = _read_json_file(text, _PROFILE_TYPES, PROFILE_VERSION,
                           ProfileInvalid, "profile")
-    # int() would also take whitespace, underscores, a sign and non-ASCII
-    # digits, so that files with different bytes would name one seed.
-    if not (obj["db_seed"].isascii() and obj["db_seed"].isdigit()):
-        raise ProfileInvalid("db_seed must be a string of ASCII decimal digits")
-    obj["db_seed"] = int(obj["db_seed"])
+    # Only the form profile_to_json writes: int() would also take
+    # whitespace, underscores, a sign, non-ASCII digits and leading zeros,
+    # so that files with different bytes would name one seed.  The length
+    # bound (2**64 has 20 digits) also keeps int() under its digit limit.
+    seed = obj["db_seed"]
+    if not (seed.isascii() and seed.isdigit() and len(seed) <= 20
+            and (seed == "0" or seed[0] != "0")):
+        raise ProfileInvalid("db_seed must be an unsigned decimal string "
+                             "without leading zeros")
+    obj["db_seed"] = int(seed)
     return NetworkProfile(**{name: obj[key] for key, name in _PROFILE_KEYS.items()})
 
 

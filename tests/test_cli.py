@@ -318,6 +318,20 @@ def test_simulate_duration_is_capped(capsys):
     args = cli.build_parser().parse_args(
         ["simulate", "--duration", str(cli.MAX_SIM_DURATION)])
     assert args.duration == cli.MAX_SIM_DURATION
+    # ... and the default profile runs that long within the send cap
+    default = qgdb.default_profile()
+    step = default.nonce_lower // 2
+    assert cli.MAX_SIM_DURATION * default.nonce_upper / step <= cli.MAX_SIM_STEPS
+
+
+def test_simulate_send_count_is_capped(tmp_path, monkeypatch, capsys):
+    # a wide nonce window makes many sends per unit of --duration
+    wide = tmp_path / "wide.json"
+    assert main(["profile-new", "--nonce-upper", str(10 ** 12),
+                 "--nonce-lower", "2", "--out", str(wide)]) == 0
+    monkeypatch.setattr(cli.tasim, "sim_init", None)  # must not be reached
+    assert main(["simulate", "--profile", str(wide), "--duration", "1"]) == 1
+    assert f"maximum {cli.MAX_SIM_STEPS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -198,6 +198,18 @@ def test_table_dtype_is_the_smallest_that_fits(order, dtype):
     assert int(square.table.max()) == order
 
 
+@pytest.mark.parametrize("order", [255, 256, 257, 1024])
+def test_chain_rows_share_one_int_per_symbol(order):
+    # Above 256, CPython's tolist() makes a new int per entry; the padded
+    # chain rows must not, or they take about 4x the memory.
+    square = qg.get_quasigroup(qg.default_profile(), order, 1, 5)
+    rows = square._rows
+    assert rows[0] == [0] * (order + 1)
+    assert [row[0] for row in rows] == [0] * (order + 1)
+    assert rows[1][1:] == square.table.tolist()[0]
+    assert len({id(v) for row in rows for v in row}) == order + 1
+
+
 def test_format_table_bytes_at_order_256_are_pinned():
     # Order 256 is the first stored as uint16; qg-dump output must not move.
     square = qg.get_quasigroup(qg.default_profile(), 256, 1, 0)

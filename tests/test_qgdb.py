@@ -91,6 +91,10 @@ def test_profile_json_round_trip(profile):
     # db_seed travels as a decimal string
     import json
     assert json.loads(text)["db_seed"] == str(profile.db_seed)
+    import dataclasses
+    for seed in (0, (1 << 64) - 1):  # the ends of the db_seed range
+        edge = dataclasses.replace(profile, db_seed=seed)
+        assert qg.profile_from_json(qg.profile_to_json(edge)) == edge
 
 
 def test_default_profile_bytes_are_pinned():
@@ -124,7 +128,9 @@ def test_profile_rejects_deeply_nested_json():
 @pytest.mark.parametrize("key, value", [
     ("k", True), ("T1", 1.5), ("r_min", "32"), ("profile_id", 7),
     ("db_seed", 1), ("db_seed", "0x10"), ("db_seed", " 1_0 "), ("db_seed", "+10"),
-    ("db_seed", "\u0661\u0660"), ("db_seed", ""), ("version", 2),
+    ("db_seed", "\u0661\u0660"), ("db_seed", ""), ("db_seed", "010"),
+    pytest.param("db_seed", "1" * 5000, id="db_seed-5000-digits"),
+    ("db_seed", str(1 << 64)), ("version", 2),
     ("version", True), ("version", 1.0),
 ])
 def test_profile_rejects_wrong_value_types(profile, key, value):
