@@ -28,9 +28,11 @@ from .errors import (
     SymbolOutOfRange,
 )
 
-# Symbols must fit in 16 bits so they can be serialized into the binary
-# ciphertext container.
-MAX_ORDER = 65535
+# Largest order of any table.  One number from a profile, frame, container
+# or command line becomes n^2 memory: at 4096 a table and its inverse, with
+# their padded chain rows, take about 270 MB.  Symbols also fit the
+# container's 16 bits.
+MAX_ORDER = 4096
 
 
 class LatinSquare:

@@ -22,13 +22,17 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
 from .latin import MAX_ORDER, LatinSquare, apply_isotopy
-from .seeds import derive_seed, permutation_from_seed
+from .seeds import MASK64, derive_seed, permutation_from_seed
 
 # Default database seed: first 16 hex digits of the fractional part of pi,
 # a fixed nothing-up-my-sleeve constant.
 DEFAULT_DB_SEED = 0x243F6A8885A308D3
 
 PROFILE_VERSION = 1
+
+# Most encryption levels a profile may name.  The table cache holds this
+# many tables, so a frame's tables stay cached from one message to the next.
+MAX_LEVELS = 16
 
 
 # --- alphabets ---------------------------------------------------------------
@@ -130,9 +134,9 @@ class NetworkProfile:
         if self.r_max >= self.s_max:
             raise ProfileInvalid("r_max must be < s_max")
         if self.s_max > MAX_ORDER:
-            raise ProfileInvalid(f"s_max must be <= {MAX_ORDER}")
-        if self.level_count < 2:
-            raise ProfileInvalid("level_count must be >= 2")
+            raise ProfileInvalid(f"s_max {self.s_max} exceeds maximum {MAX_ORDER}")
+        if not 2 <= self.level_count <= MAX_LEVELS:
+            raise ProfileInvalid(f"level_count must be in 2..{MAX_LEVELS}")
         if not 1 <= self.split < self.level_count:
             raise ProfileInvalid("split must satisfy 1 <= split < level_count")
         if self.index_max < 1:
@@ -143,7 +147,7 @@ class NetworkProfile:
         # at least one integer for frame generation to succeed.
         if self.nonce_upper <= self.nonce_lower + 1:
             raise ProfileInvalid("nonce_upper must exceed nonce_lower + 1")
-        if not 0 <= self.db_seed < (1 << 64):
+        if not 0 <= self.db_seed <= MASK64:
             raise ProfileInvalid("db_seed must be an unsigned 64-bit integer")
         if self.alphabet_id not in ALPHABETS:
             raise ProfileInvalid(f"unknown alphabet_id {self.alphabet_id!r}")
@@ -269,7 +273,7 @@ def base_square(n: int) -> LatinSquare:
     return LatinSquare((idx[:, None] + idx[None, :]) % n + 1)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=MAX_LEVELS)
 def _indexed_square(db_seed: int, order: int, index: int, nonce: int) -> LatinSquare:
     perms = [
         permutation_from_seed(derive_seed((db_seed, order, index, nonce, tag)), order)
@@ -283,8 +287,9 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
     """The indexed isotope for (order, index, nonce) under this profile.
 
     Pure and deterministic: the same arguments always produce the same
-    table, byte for byte, in any process on any platform.  Recently used
-    tables are memoized; the cache is safe for concurrent lookups.
+    table, byte for byte, in any process on any platform.  The last
+    MAX_LEVELS tables are memoized, one frame's worth at the largest level
+    count; the cache is safe for concurrent lookups.
     """
     if order < 2:
         raise InvalidOrder(f"order must be >= 2, got {order}")
@@ -292,4 +297,4 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
         raise InvalidOrder(f"order {order} exceeds maximum {MAX_ORDER}")
     if not 1 <= index <= profile.index_max:
         raise IndexOutOfRange(f"index {index} outside 1..{profile.index_max}")
-    return _indexed_square(profile.db_seed, order, index, int(nonce) & ((1 << 64) - 1))
+    return _indexed_square(profile.db_seed, order, index, int(nonce) & MASK64)

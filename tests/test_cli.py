@@ -334,13 +334,19 @@ def test_simulate_send_count_is_capped(tmp_path, monkeypatch, capsys):
     assert f"maximum {cli.MAX_SIM_STEPS}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["decrypt", "--text", "--key", "20, 65000, 1, 2"],
-    ["decrypt", "--text", "--key", f"20, {cli.MAX_INLINE_ORDER + 1}, 1, 2"],
-    ["legacy-encrypt", "--key", "20, 65000, 1, 2"],
+@pytest.mark.parametrize("argv, cap", [
+    pytest.param(["decrypt", "--text", "--key", "20, 65000, 1, 2"],
+                 f"maximum {qg.MAX_ORDER}", id="argv0"),
+    pytest.param(["decrypt", "--text", "--key", f"20, {qg.MAX_ORDER + 1}, 1, 2"],
+                 f"maximum {qg.MAX_ORDER}", id="argv1"),
+    pytest.param(["legacy-encrypt", "--key", "20, 65000, 1, 2"],
+                 f"maximum {qg.MAX_ORDER}", id="argv2"),
+    pytest.param(["decrypt", "--text", "--key",
+                  "20, 40, " + ", ".join(["1"] * (qgdb.MAX_LEVELS + 1))],
+                 f"2..{qgdb.MAX_LEVELS}", id="too-many-levels"),
 ])
-def test_inline_key_order_is_capped_before_any_table(argv, tmp_path, capsys,
-                                                     monkeypatch):
+def test_inline_key_order_is_capped_before_any_table(argv, cap, tmp_path,
+                                                     capsys, monkeypatch):
     def no_tables(*args):
         raise AssertionError("a table was requested")
     monkeypatch.setattr(qgdb, "get_quasigroup", no_tables)
@@ -350,14 +356,52 @@ def test_inline_key_order_is_capped_before_any_table(argv, tmp_path, capsys,
     assert main(argv + ["--in", str(empty)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert f"maximum {cli.MAX_INLINE_ORDER}" in err
+    assert cap in err
 
 
 def test_inline_key_at_the_order_cap_is_accepted():
     args = cli.build_parser().parse_args(
-        ["decrypt", "--text", "--key", f"20, {cli.MAX_INLINE_ORDER}, 1, 2"])
+        ["decrypt", "--text", "--key", f"20, {qg.MAX_ORDER}, 1, 2"])
     frame, profile = cli._inline_key(args, qg.default_profile())
-    assert frame.s == profile.s_max == cli.MAX_INLINE_ORDER
+    assert frame.s == profile.s_max == qg.MAX_ORDER
+
+
+@pytest.mark.parametrize("order", [qg.MAX_ORDER + 1, 65000])
+def test_qg_dump_order_is_capped_before_any_table(order, monkeypatch, capsys):
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(qgdb, "_indexed_square", no_tables)
+    assert main(["qg-dump", "--order", str(order), "--index", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"maximum {qg.MAX_ORDER}" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("s_max", qg.MAX_ORDER + 1), ("k", qgdb.MAX_LEVELS + 1), ("k", 10 ** 9),
+])
+def test_profile_file_bounds_hold_before_any_frame(key, value, tmp_path,
+                                                   monkeypatch, capsys):
+    import json
+    obj = json.loads(qg.profile_to_json(qg.default_profile()))
+    obj[key] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli.keying, "generate_frame", None)  # must not be reached
+    assert main(["keygen", "--profile", str(path), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_nodes_are_capped(capsys):
+    # parsed only, so that a missing cap fails here instead of running on
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(
+            ["simulate", "--nodes", str(cli.MAX_SIM_NODES + 1)])
+    assert err.value.code == 2
+    assert f"at most {cli.MAX_SIM_NODES}" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(
+        ["simulate", "--nodes", str(cli.MAX_SIM_NODES)])
+    assert args.nodes == cli.MAX_SIM_NODES
 
 
 def test_version_flag(capsys):

@@ -87,6 +87,7 @@ def test_derivation_rejects_structural_problems(profile):
     (dict(s=900), "s 900 above s_max 256"),
     (dict(r=20), "r 20 outside 32..128"),
     (dict(r=129, s=200), "r 129 outside 32..128"),
+    (dict(s=5000), "s 5000 above s_max 256"),
 ])
 def test_frame_orders_must_fit_the_profile(profile, orders, reason):
     frame = dataclasses.replace(qg.generate_frame(profile, 7), **orders)

@@ -83,6 +83,21 @@ def test_get_quasigroup_rejects_bad_arguments(profile):
         qg.get_quasigroup(profile, 8, profile.index_max + 1, 0)
 
 
+def test_table_cache_holds_one_frame_at_the_level_cap():
+    # every level a distinct table: decrypting right after encrypting must
+    # find all of them still cached
+    k = qg.qgdb.MAX_LEVELS
+    profile = qg.NetworkProfile(level_count=k, split=k // 2)
+    frame = qg.KeyFrame(r=40, s=50, indices=tuple(range(1, k + 1)), nonce=500)
+    key = qg.derive_hidden_key(profile, frame)
+    plain = qg.SymbolStream(40, tuple(range(1, 41)))
+    qg.qgdb._indexed_square.cache_clear()
+    cipher = qg.encrypt(profile, frame, key, plain)
+    assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+    info = qg.qgdb._indexed_square.cache_info()
+    assert (info.misses, info.hits) == (k, k)
+
+
 # --- profile ---------------------------------------------------------------------------
 
 def test_profile_json_round_trip(profile):
@@ -161,6 +176,9 @@ def test_profile_rejects_missing_keys(profile):
     {"nonce_lower": 999, "nonce_upper": 1000},
     {"db_seed": -1},
     {"alphabet_id": "latin99"},
+    {"s_max": qg.MAX_ORDER + 1},
+    {"level_count": qg.qgdb.MAX_LEVELS + 1},
+    {"level_count": 10 ** 9},
 ])
 def test_profile_invariants(fields):
     with pytest.raises(ProfileInvalid):
