@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -170,6 +171,16 @@ def test_simulate_is_deterministic(capsys):
     assert "issue" in kinds
     assert "delivered" in kinds
     assert "send-rejected" not in kinds
+
+
+def test_simulate_log_bytes_are_pinned(capsys):
+    # about 100 frames, each rekey building six fresh tables end to end
+    argv = ["simulate", "--nodes", "4", "--duration", "50", "--seed", "5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\tissue\t") == 100
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "36d091abef22951eac4a0ac155f38ddc75d940dddf9d5d6259597fd026aab239")
 
 
 def test_simulate_without_rekey_rejects(capsys):

@@ -83,6 +83,27 @@ def test_get_quasigroup_rejects_bad_arguments(profile):
         qg.get_quasigroup(profile, 8, profile.index_max + 1, 0)
 
 
+# SHA-256 of the table for (order, index 7, nonce 500) under the default
+# profile, as little-endian 16-bit entries, whatever the storage type.
+TABLE_SHA256 = {
+    2: "3eda4a179e8ad0d95667f1fc272c87e7545a1e237113b4e875f36aff17f94c24",
+    51: "fc9496c4328d1fe99db7113fdb0bbe1f0f6709a467720890999c961986278597",
+    171: "0787457e831a3d08702e5e94946756d46613afbaa17db91ed132e4f960dbd257",
+    255: "fd8681f7dc002049117b6496a86413be3a66447db0a03753223df81d1b64dac4",
+    256: "d2d9172d2096985c6681ea2ea83f8ced99f16ef57b0c9abe0d03fa0513618756",
+    257: "fc44457829499a09372c760c47240c47ddc7a64be3531acee51a8f97de0cc3b0",
+    1024: "dd8cc82b4a7572718c353d989c8f351d510a20932a0ee0c82ecc3ebc6f52b4f9",
+    4096: "8e24bf422b4dc056605f1c9fe2c1882e04ac5d19a42e6f3d49d1c18e7951b311",
+}
+
+
+@pytest.mark.parametrize("order", sorted(TABLE_SHA256))
+def test_table_bytes_are_pinned(order, profile):
+    square = qg.get_quasigroup(profile, order, 7, 500)
+    digest = hashlib.sha256(square.table.astype("<u2").tobytes()).hexdigest()
+    assert digest == TABLE_SHA256[order]
+
+
 def test_table_cache_holds_one_frame_at_the_level_cap():
     # every level a distinct table: decrypting right after encrypting must
     # find all of them still cached
