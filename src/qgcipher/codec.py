@@ -10,7 +10,9 @@ alphabet widens exactly once and every ciphertext symbol lands in 1..s.
 
 A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
 only range check (a tighter limit reads the symbols only when the declared
-order exceeds it).  Each direction has one chain loop, used at every level.
+order exceeds it).  Streams from outside input are checked when built; the
+text edge and the levels, whose outputs are in range by construction, skip
+the check.  Each direction has one chain loop, used at every level.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from .errors import (
     CiphertextSymbolTooLarge,
     ContainerError,
+    ForgedCiphertext,
     KeyMismatch,
     LeaderOutOfRange,
     PlaintextSymbolTooLarge,
@@ -55,6 +58,15 @@ class SymbolStream:
             raise SymbolOutOfRange(
                 f"symbol {sym} at position {pos} outside 1..{self.order}",
                 position=pos)
+
+    @classmethod
+    def _trusted(cls, order: int, symbols) -> "SymbolStream":
+        """A stream whose producer guarantees every symbol in 1..order, built
+        without the range check."""
+        stream = object.__new__(cls)
+        object.__setattr__(stream, "order", order)
+        object.__setattr__(stream, "symbols", tuple(symbols))
+        return stream
 
     def __len__(self):
         return len(self.symbols)
@@ -104,8 +116,8 @@ def text_to_symbols(text: str, alphabet: Alphabet = LATIN27) -> SymbolStream:
                    if ch not in alphabet._chars)
         raise UnmappableCharacter(pos + 1, text[pos])
     # each character becomes the code point of its symbol (at most 255)
-    symbols = tuple(folded.translate(alphabet._to_symbol).encode("latin-1"))
-    return SymbolStream(order=alphabet.size, symbols=symbols)
+    symbols = folded.translate(alphabet._to_symbol).encode("latin-1")
+    return SymbolStream._trusted(alphabet.size, symbols)
 
 
 def symbols_to_text(stream: SymbolStream, alphabet: Alphabet = LATIN27) -> str:
@@ -153,8 +165,8 @@ def encrypt_level(square: LatinSquare, leader: int,
                   stream: SymbolStream) -> SymbolStream:
     """One chained pass: out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
     _check_level_args(square, leader, stream)
-    return SymbolStream(order=square.order,
-                        symbols=_chain(square._rows, leader, stream.symbols))
+    return SymbolStream._trusted(square.order,
+                                 _chain(square._rows, leader, stream.symbols))
 
 
 def decrypt_level(square: LatinSquare, leader: int,
@@ -163,8 +175,8 @@ def decrypt_level(square: LatinSquare, leader: int,
     out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i]."""
     _check_level_args(square, leader, cipher)
     inv_rows = left_inverse(square)._rows
-    return SymbolStream(order=square.order,
-                        symbols=_unchain(inv_rows, leader, cipher.symbols))
+    return SymbolStream._trusted(square.order,
+                                 _unchain(inv_rows, leader, cipher.symbols))
 
 
 # --- multi-level indexed encryptor ---------------------------------------------
@@ -199,23 +211,34 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     for order, index, q in zip(orders, frame.indices, key.multipliers):
         square = get_quasigroup(profile, order, index, frame.nonce)
         symbols = _chain(square._rows, q, symbols)
-    return SymbolStream(order=frame.s, symbols=symbols)
+    return SymbolStream._trusted(frame.s, symbols)
 
 
 def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
             ciphertext: SymbolStream) -> SymbolStream:
     """Exact inverse of encrypt: levels in reverse order, left division via
-    each level's materialized inverse table.  The result has order r."""
+    each level's materialized inverse table.  The result has order r.
+
+    A ciphertext in 1..s that no plaintext encrypts to under this key can
+    leave symbols above r once the order-s levels are undone; the first
+    order-r level then raises ForgedCiphertext.
+    """
     orders = _check_key(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
     symbols = ciphertext.symbols
-    for order, index, q in zip(reversed(orders), reversed(frame.indices),
-                               reversed(key.multipliers)):
+    for level, order, index, q in zip(range(len(orders), 0, -1), reversed(orders),
+                                      reversed(frame.indices),
+                                      reversed(key.multipliers)):
         square = get_quasigroup(profile, order, index, frame.nonce)
-        symbols = _unchain(left_inverse(square)._rows, q, symbols)
-    return SymbolStream(order=frame.r, symbols=symbols)
+        try:
+            symbols = _unchain(left_inverse(square)._rows, q, symbols)
+        except IndexError:
+            # a symbol above the order indexes past the padded rows
+            raise ForgedCiphertext(*_first_outside(symbols, order),
+                                   level, order) from None
+    return SymbolStream._trusted(frame.r, symbols)
 
 
 # --- ciphertext container -------------------------------------------------------

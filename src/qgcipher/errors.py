@@ -87,6 +87,20 @@ class CiphertextSymbolTooLarge(QGError):
         self.symbol = symbol
 
 
+class ForgedCiphertext(QGError):
+    """A ciphertext that no plaintext encrypts to under the key: a symbol
+    entering a level lies above that level's order."""
+
+    def __init__(self, position, symbol, level, limit):
+        super().__init__(
+            f"ciphertext is not valid under this key: symbol {symbol} at "
+            f"position {position} entering level {level} exceeds its order "
+            f"{limit}")
+        self.position = position
+        self.symbol = symbol
+        self.level = level
+
+
 class KeyMismatch(QGError):
     pass
 

@@ -35,6 +35,11 @@ from .errors import (
 MAX_ORDER = 4096
 
 
+def table_dtype(order: int) -> type:
+    """The storage type of an order-n table: the smallest that holds n."""
+    return np.uint8 if order < 256 else np.uint16
+
+
 class LatinSquare:
     """An immutable order-n multiplication table with entries in 1..n.
 
@@ -44,8 +49,7 @@ class LatinSquare:
 
     def __init__(self, table: np.ndarray):
         order = int(np.shape(table)[0])
-        table = np.ascontiguousarray(
-            table, dtype=np.uint8 if order < 256 else np.uint16)
+        table = np.ascontiguousarray(table, dtype=table_dtype(order))
         table.setflags(write=False)
         self._table = table
         self.order = order

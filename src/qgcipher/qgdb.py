@@ -19,10 +19,11 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
-from .latin import MAX_ORDER, LatinSquare, apply_isotopy
-from .seeds import MASK64, derive_seed, permutation_from_seed
+from .latin import MAX_ORDER, LatinSquare, table_dtype
+from .seeds import MASK64, derive_seed, permutations_from_seeds
 
 # Default database seed: first 16 hex digits of the fractional part of pi,
 # a fixed nothing-up-my-sleeve constant.
@@ -275,11 +276,22 @@ def base_square(n: int) -> LatinSquare:
 
 @lru_cache(maxsize=MAX_LEVELS)
 def _indexed_square(db_seed: int, order: int, index: int, nonce: int) -> LatinSquare:
-    perms = [
-        permutation_from_seed(derive_seed((db_seed, order, index, nonce, tag)), order)
-        for tag in (1, 2, 3)
-    ]
-    return apply_isotopy(base_square(order), *perms)
+    """apply_isotopy(base_square(order), alpha, beta, gamma), built directly.
+
+    With 0-indexed alpha and beta, entry (x, y) is
+    gamma[(alpha[x] + beta[y]) mod n].  That is entry (alpha[x], beta[y]) of
+    the circulant c[i, j] = gamma[(i + j) mod n], a strided view of gamma
+    laid twice end to end; picking its rows by alpha and then its columns
+    by beta copies only table-typed n x n arrays.
+    """
+    alpha, beta, gamma = permutations_from_seeds(
+        [derive_seed((db_seed, order, index, nonce, tag)) for tag in (1, 2, 3)],
+        order)
+    rows = np.array(alpha.mapping, dtype=np.intp) - 1
+    cols = np.array(beta.mapping, dtype=np.intp) - 1
+    circulant = sliding_window_view(
+        np.array(gamma.mapping * 2, dtype=table_dtype(order)), order)
+    return LatinSquare(circulant[rows].take(cols, axis=1))
 
 
 def get_quasigroup(profile: NetworkProfile, order: int, index: int,

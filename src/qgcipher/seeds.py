@@ -6,9 +6,21 @@ two independent processes -- or two ends of a network -- reproduce the same
 values bit for bit.  The pipeline is SplitMix64: a golden-ratio increment
 absorbed into a 64-bit state, finalized with the standard three-round
 xor-shift-multiply mixer.  All arithmetic wraps at 64 bits.
+
+SplitMix64 is counter-based: its k-th output is mix64(seed + k * GOLDEN),
+a function of k alone (Steele, Lea & Flood, OOPSLA 2014; Salmon et al.,
+SC 2011).  permutations_from_seeds uses this to compute every draw of a
+Fisher-Yates shuffle at once, for several seeds, in numpy uint64; only the
+swaps stay a Python loop.  Draw k is reduced modulo m = n - k + 1, and a
+draw at or above the largest multiple of m below 2**64 would be rejected
+by SplitMix64.next_below and shift every later draw.  Such a seed is
+shuffled again by the scalar stream walk, so both paths give the same
+permutation; the chance of a rejection is below m / 2**64 per draw.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import InvalidOrder
 from .latin import Permutation
@@ -82,17 +94,55 @@ class SplitMix64:
         return lo + self.next_below(hi - lo + 1)
 
 
-def permutation_from_seed(seed: int, n: int) -> Permutation:
-    """Deterministic Fisher-Yates shuffle of (1..n) driven by SplitMix64.
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 over a numpy uint64 array, whose arithmetic wraps at 64 bits."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
-    Walks i from n-1 down to 1, drawing j uniformly in [0, i] with
-    rejection sampling and swapping positions i and j.
+
+def _scalar_draws(seed: int, n: int) -> list:
+    """The Fisher-Yates draws of one seed, by walking its SplitMix64 stream:
+    j uniform in [0, m) for m = n, n-1, ..., 2."""
+    stream = SplitMix64(seed)
+    return [stream.next_below(m) for m in range(n, 1, -1)]
+
+
+def _vector_draws(seeds: list, n: int) -> tuple:
+    """The same draws for every seed at once, as the k-th stream outputs
+    reduced modulo m = n - k + 1.  Returns the draw lists and, per seed,
+    whether some draw would have been rejected (which makes its row wrong)."""
+    state = (np.array(seeds, dtype=np.uint64)[:, None]
+             + np.arange(1, n, dtype=np.uint64) * np.uint64(GOLDEN))
+    z = _mix64_array(state)
+    m = np.arange(2, n + 1, dtype=np.uint64)[::-1]
+    # z >= 2**64 - (2**64 mod m), written so that it fits 64 bits
+    rejected = (~z < (np.uint64(0) - m) % m).any(axis=1)
+    return (z % m).tolist(), rejected.tolist()
+
+
+def permutations_from_seeds(seeds, n: int) -> list:
+    """Deterministic Fisher-Yates shuffles of (1..n), one per seed.
+
+    Each walks i from n-1 down to 1, drawing j uniformly in [0, i] from the
+    seed's SplitMix64 stream with rejection sampling and swapping positions
+    i and j.  The draws are computed at once (see the module docstring).
     """
     if n < 1:
         raise InvalidOrder(f"permutation size must be >= 1, got {n}")
-    items = list(range(1, n + 1))
-    stream = SplitMix64(seed)
-    for i in range(n - 1, 0, -1):
-        j = stream.next_below(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return Permutation(tuple(items))
+    seeds = [int(seed) & MASK64 for seed in seeds]
+    draws, rejected = _vector_draws(seeds, n)
+    perms = []
+    for seed, js, bad in zip(seeds, draws, rejected):
+        if bad:
+            js = _scalar_draws(seed, n)
+        items = list(range(1, n + 1))
+        for i, j in zip(range(n - 1, 0, -1), js):
+            items[i], items[j] = items[j], items[i]
+        perms.append(Permutation(tuple(items)))
+    return perms
+
+
+def permutation_from_seed(seed: int, n: int) -> Permutation:
+    """The Fisher-Yates shuffle of (1..n) for one seed."""
+    return permutations_from_seeds([seed], n)[0]

@@ -89,6 +89,16 @@ def test_text_mode_round_trip(workspace, capsys):
     assert capsys.readouterr().out == "HELLO WORLD"
 
 
+def test_forged_text_ciphertext_is_an_error_not_a_traceback(workspace, capsys):
+    tmp, profile, frame = workspace
+    forged = tmp / "forged.txt"
+    forged.write_text("170 3 150 12 99 171 1 160\n")
+    assert main(["decrypt", "--text", "--profile", str(profile),
+                 "--frame", str(frame), "--in", str(forged)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "level 3" in err
+
+
 def test_binary_encrypt_requires_out(workspace, capsys):
     tmp, profile, frame = workspace
     message = tmp / "msg.txt"

@@ -9,6 +9,7 @@ import qgcipher as qg
 from qgcipher.errors import (
     CiphertextSymbolTooLarge,
     ContainerError,
+    ForgedCiphertext,
     InvalidOrder,
     KeyMismatch,
     LeaderOutOfRange,
@@ -203,6 +204,58 @@ def test_ciphertext_symbol_too_large(profile):
     with pytest.raises(CiphertextSymbolTooLarge) as err:
         qg.decrypt(profile, frame, key, cipher)
     assert (err.value.position, err.value.symbol) == (3, frame.s + 4)
+
+
+def test_forged_ciphertext_is_a_qgerror(profile):
+    # Symbols in 1..s, but after the order-s levels are undone the first
+    # one lies above r, so the first order-r level (level `split`) fails.
+    frame, key = _material(profile)
+    assert (frame.r, frame.s, profile.split) == (51, 171, 3)
+    forged = qg.SymbolStream(frame.s, (170, 3, 150, 12, 99, 171, 1, 160))
+    with pytest.raises(ForgedCiphertext) as err:
+        qg.decrypt(profile, frame, key, forged)
+    assert (err.value.position, err.value.level) == (1, profile.split)
+    assert err.value.symbol > frame.r
+    assert "position 1" in str(err.value) and "level 3" in str(err.value)
+
+
+def test_random_streams_decrypt_or_raise_forged_ciphertext(profile):
+    frame, key = _material(profile)
+    stream = qg.SplitMix64(2024)
+    forged = 0
+    for _ in range(200):
+        cipher = qg.SymbolStream(frame.s, tuple(
+            stream.next_range(1, frame.s) for _ in range(20)))
+        try:
+            plain = qg.decrypt(profile, frame, key, cipher)
+        except ForgedCiphertext as exc:
+            forged += 1
+            assert 1 <= exc.position <= 20 and exc.symbol > frame.r
+            assert exc.level == profile.split
+        else:
+            assert qg.encrypt(profile, frame, key, plain) == cipher
+    assert forged > 0
+
+
+def test_producers_build_streams_equal_to_checked_ones(profile, monkeypatch):
+    frame, key = _material(profile)
+    plain = qg.text_to_symbols("ATTACK AT DAWN")
+    cipher = qg.encrypt(profile, frame, key, plain)
+    square = qg.get_quasigroup(profile, frame.s, 1, frame.nonce)
+    made = [plain, cipher, qg.decrypt(profile, frame, key, cipher),
+            qg.encrypt_level(square, 3, cipher),
+            qg.decrypt_level(square, 3, cipher)]
+    for stream in made:
+        assert type(stream.symbols) is tuple
+        assert stream == qg.SymbolStream(stream.order, stream.symbols)
+    # none of them re-runs the range check
+    checks = []
+    monkeypatch.setattr(qg.SymbolStream, "__post_init__",
+                        lambda self: checks.append(self))
+    qg.decrypt(profile, frame, key, qg.encrypt(
+        profile, frame, key, qg.text_to_symbols("ATTACK AT DAWN")))
+    qg.decrypt_level(square, 3, qg.encrypt_level(square, 3, cipher))
+    assert checks == []
 
 
 def test_wider_declared_order_is_accepted_when_symbols_fit(profile):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,20 @@ def test_get_quasigroup_rejects_bad_arguments(profile):
         qg.get_quasigroup(profile, 8, 0, 0)
     with pytest.raises(IndexOutOfRange):
         qg.get_quasigroup(profile, 8, profile.index_max + 1, 0)
+
+
+@given(order=st.sampled_from([2, 3, 51, 255, 256, 257, 1024]),
+       index=st.integers(min_value=1, max_value=1000),
+       nonce=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=25, deadline=None)
+def test_direct_isotope_equals_isotopy_of_the_base_square(order, index, nonce):
+    profile = qg.default_profile()
+    perms = [qg.permutation_from_seed(
+        qg.derive_seed((profile.db_seed, order, index, nonce, tag)), order)
+        for tag in (1, 2, 3)]
+    square = qg.get_quasigroup(profile, order, index, nonce)
+    assert square == qg.apply_isotopy(qg.base_square(order), *perms)
+    assert square.table.dtype == (np.uint8 if order < 256 else np.uint16)
 
 
 # SHA-256 of the table for (order, index 7, nonce 500) under the default

@@ -120,6 +120,59 @@ def test_permutation_matches_golden(case):
     assert oracle_permutation(case["seed"], case["n"]) == case["mapping"]
 
 
+def _shuffle(draws, n):
+    items = list(range(1, n + 1))
+    for i, j in zip(range(n - 1, 0, -1), draws):
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@given(seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                      min_size=1, max_size=3),
+       n=st.one_of(st.sampled_from([1, 2, 255, 256, 257, 4096]),
+                   st.integers(min_value=1, max_value=600)))
+@settings(max_examples=60, deadline=None)
+def test_vector_draws_match_the_scalar_walk(seeds, n):
+    draws, rejected = qg.seeds._vector_draws(seeds, n)
+    assert rejected == [False] * len(seeds)
+    assert draws == [qg.seeds._scalar_draws(seed, n) for seed in seeds]
+    perms = qg.seeds.permutations_from_seeds(seeds, n)
+    assert [list(p.mapping) for p in perms] == [_shuffle(d, n) for d in draws]
+
+
+def _unmix64(z):
+    """The inverse of mix64: undo each xor-shift and odd multiply."""
+    mask = (1 << 64) - 1
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(_M2, -1, 1 << 64)) & mask
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(_M1, -1, 1 << 64)) & mask
+    z ^= (z >> 30) ^ (z >> 60)
+    return z
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (100, 1), (100, 50), (257, 200)])
+def test_rejected_draw_falls_back_to_the_stream_walk(n, k, monkeypatch):
+    # Draw k of this seed is 2**64 - 1, the largest output, which
+    # next_below rejects for every range m = n - k + 1 that is no power of
+    # two; every later draw then comes one output late.
+    state = _unmix64((1 << 64) - 1)
+    seed = (state - k * _INCREMENT) % (1 << 64)
+    assert qg.mix64(seed + k * _INCREMENT) == (1 << 64) - 1
+    other = 12345
+    _, rejected = qg.seeds._vector_draws([other, seed], n)
+    assert rejected == [False, True]
+    walked = []
+    scalar = qg.seeds._scalar_draws
+    monkeypatch.setattr(qg.seeds, "_scalar_draws",
+                        lambda s, m: walked.append(s) or scalar(s, m))
+    perms = qg.seeds.permutations_from_seeds([other, seed], n)
+    assert walked == [seed]
+    assert list(perms[1].mapping) == oracle_permutation(seed, n)
+    assert list(perms[0].mapping) == oracle_permutation(other, n)
+    assert qg.permutation_from_seed(seed, n) == perms[1]
+
+
 def test_permutation_size_one_is_identity():
     for seed in (0, 1, 2**63):
         assert qg.permutation_from_seed(seed, 1).mapping == (1,)
