@@ -242,7 +242,7 @@ def cmd_simulate(args):
                          auto_rekey=not args.no_rekey)
     tasim.issue_frame(sim)
     sender = 0
-    node_ids = sorted(sim.nodes, key=lambda node_id: int(node_id[4:]))
+    node_ids = list(sim.nodes)
     while sim.clock < horizon:
         tasim.advance(sim, min(step, horizon - sim.clock))
         frm = node_ids[sender % len(node_ids)]

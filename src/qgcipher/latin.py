@@ -7,8 +7,10 @@ materializes the left-inverse parastrophe used for decryption, and applies
 isotopies (row/column/symbol permutations).
 
 All interfaces speak 1-indexed symbols, matching the usual way these
-tables are printed; storage is 0-indexed numpy underneath, in the smallest
-unsigned integer type that holds the order (uint8 below 256, else uint16).
+tables are printed, and so does storage: one (n+1) x (n+1) numpy array
+with a zero row 0 and column 0, so that entry [a, b] is a * b, in the
+smallest unsigned integer type that holds the order (uint8 below 256,
+else uint16).
 """
 
 from __future__ import annotations
@@ -44,53 +46,51 @@ class LatinSquare:
     """An immutable order-n multiplication table with entries in 1..n.
 
     Build instances with validate_latin_square(), base_square(), or
-    apply_isotopy(); the raw constructor trusts its input.
+    apply_isotopy(); the raw constructor trusts its padded input.
     """
 
-    def __init__(self, table: np.ndarray):
-        order = int(np.shape(table)[0])
-        table = np.ascontiguousarray(table, dtype=table_dtype(order))
-        table.setflags(write=False)
-        self._table = table
+    def __init__(self, padded: np.ndarray):
+        order = int(np.shape(padded)[0]) - 1
+        padded = np.ascontiguousarray(padded, dtype=table_dtype(order))
+        padded.setflags(write=False)
+        self._padded = padded
         self.order = order
 
     @property
     def table(self) -> np.ndarray:
-        """The n x n table, entries 1..n, read-only."""
-        return self._table
+        """The n x n table, entries 1..n: a read-only view of the padded one."""
+        return self._padded[1:, 1:]
 
     @cached_property
     def _rows(self) -> list:
-        """The table as (n+1) x (n+1) nested lists with a zero row 0 and a
-        zero column 0, so that _rows[a][b] == a * b for 1-indexed symbols.
+        """The padded table as nested lists, so that _rows[a][b] == a * b.
         Indexing a list with an int is the interpreter's fastest lookup,
         which is what the codec's per-symbol chain loops need."""
         n = self.order
-        padded = np.zeros((n + 1, n + 1), dtype=self._table.dtype)
-        padded[1:, 1:] = self._table
         # Up to 256, tolist() already shares CPython's cached small ints, and
         # it builds about twice as fast as the gather below; cold builds set
         # simulate's send tail.  Above 256 it would make an int object per
         # entry, so the rows gather one shared object per symbol instead
         # (4x smaller at order 1024).
         if n <= 256:
-            return padded.tolist()
-        return np.array(range(n + 1), dtype=object)[padded].tolist()
+            return self._padded.tolist()
+        return np.array(range(n + 1), dtype=object)[self._padded].tolist()
 
     @cached_property
     def _inverse(self) -> "LatinSquare":
-        n = self.order
-        inv = np.empty((n, n), dtype=self._table.dtype)
-        inv[np.arange(n)[:, None], self._table - 1] = np.arange(1, n + 1)
+        # inv[a, a * b] = b for every row a >= 1 and b in 0..n; row 0 stays 0
+        symbols = np.arange(self.order + 1)
+        inv = np.zeros_like(self._padded)
+        inv[symbols[1:, None], self._padded[1:]] = symbols
         return LatinSquare(inv)
 
     def __eq__(self, other):
         if not isinstance(other, LatinSquare):
             return NotImplemented
-        return self.order == other.order and np.array_equal(self._table, other._table)
+        return self.order == other.order and np.array_equal(self._padded, other._padded)
 
     def __hash__(self):
-        return hash((self.order, self._table.tobytes()))
+        return hash((self.order, self._padded.tobytes()))
 
     def __repr__(self):
         return f"LatinSquare(order={self.order})"
@@ -161,7 +161,7 @@ def validate_latin_square(table) -> LatinSquare:
     col_ok = (np.sort(arr, axis=0) == expect[:, None]).all(axis=0)
     if not col_ok.all():
         raise DuplicateInColumn(int(np.argmin(col_ok)) + 1)
-    return LatinSquare(arr)
+    return LatinSquare(np.pad(arr, (1, 0)))
 
 
 def _check_symbol(square: LatinSquare, sym: int, what: str) -> None:
@@ -173,15 +173,14 @@ def multiply(square: LatinSquare, a: int, b: int) -> int:
     """a * b: the table entry at row a, column b."""
     _check_symbol(square, a, "row symbol")
     _check_symbol(square, b, "column symbol")
-    return int(square._table[a - 1, b - 1])
+    return int(square._padded[a, b])
 
 
 def left_divide(square: LatinSquare, a: int, b: int) -> int:
     """a \\ b: the unique x with a * x = b, found by scanning row a."""
     _check_symbol(square, a, "row symbol")
     _check_symbol(square, b, "target symbol")
-    col = np.nonzero(square._table[a - 1] == b)[0]
-    return int(col[0]) + 1
+    return int(np.nonzero(square._padded[a] == b)[0][0])
 
 
 def left_inverse(square: LatinSquare) -> LatinSquare:
@@ -207,10 +206,11 @@ def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,
         raise SizeMismatch(
             f"permutation sizes {alpha.size}/{beta.size}/{gamma.size} "
             f"do not match order {n}")
-    a = np.asarray(alpha.mapping, dtype=np.int64) - 1
-    b = np.asarray(beta.mapping, dtype=np.int64) - 1
-    g = np.asarray(gamma.mapping, dtype=np.int32)
-    return LatinSquare(g[square._table[a[:, None], b[None, :]] - 1])
+    # 0 -> 0 in each padded permutation keeps row 0 and column 0 zero
+    a = np.array((0,) + alpha.mapping, dtype=np.intp)
+    b = np.array((0,) + beta.mapping, dtype=np.intp)
+    g = np.array((0,) + gamma.mapping, dtype=square._padded.dtype)
+    return LatinSquare(g[square._padded[a[:, None], b]])
 
 
 def format_table(square: LatinSquare) -> str:

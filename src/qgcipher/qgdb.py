@@ -194,8 +194,8 @@ def _read_json_file(text: str, types: dict, version: int, error: type,
     """
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested too deeply to decode
+    except (ValueError, RecursionError) as exc:
+        # ValueError includes over-long integers; RecursionError, deep nesting
         raise error(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise error(f"{what} file must hold a JSON object")
@@ -271,27 +271,28 @@ def base_square(n: int) -> LatinSquare:
     if n > MAX_ORDER:
         raise InvalidOrder(f"order {n} exceeds maximum {MAX_ORDER}")
     idx = np.arange(n, dtype=np.int32)
-    return LatinSquare((idx[:, None] + idx[None, :]) % n + 1)
+    return LatinSquare(np.pad((idx[:, None] + idx[None, :]) % n + 1, (1, 0)))
 
 
 @lru_cache(maxsize=MAX_LEVELS)
 def _indexed_square(db_seed: int, order: int, index: int, nonce: int) -> LatinSquare:
     """apply_isotopy(base_square(order), alpha, beta, gamma), built directly.
 
-    With 0-indexed alpha and beta, entry (x, y) is
-    gamma[(alpha[x] + beta[y]) mod n].  That is entry (alpha[x], beta[y]) of
-    the circulant c[i, j] = gamma[(i + j) mod n], a strided view of gamma
-    laid twice end to end; picking its rows by alpha and then its columns
-    by beta copies only table-typed n x n arrays.
+    Entry (x, y) is gamma(((alpha(x) + beta(y) - 2) mod n) + 1): entry
+    (alpha(x), beta(y)) of the circulant c[i, j] = gamma[(i + j - 2) mod n],
+    a strided view of gamma rotated by two and laid twice end to end.  Its
+    rows are picked by alpha, then its columns by beta straight into the
+    padded table, so the only other n x n array is the table-typed row pick.
     """
     alpha, beta, gamma = permutations_from_seeds(
         [derive_seed((db_seed, order, index, nonce, tag)) for tag in (1, 2, 3)],
         order)
-    rows = np.array(alpha.mapping, dtype=np.intp) - 1
-    cols = np.array(beta.mapping, dtype=np.intp) - 1
     circulant = sliding_window_view(
-        np.array(gamma.mapping * 2, dtype=table_dtype(order)), order)
-    return LatinSquare(circulant[rows].take(cols, axis=1))
+        np.array(gamma[-2:] + gamma * 2, dtype=table_dtype(order)), order + 1)
+    padded = np.zeros((order + 1, order + 1), dtype=circulant.dtype)
+    # mode="clip" (no column is out of range) writes unbuffered into padded
+    np.take(circulant[alpha], beta, axis=1, out=padded[1:, 1:], mode="clip")
+    return LatinSquare(padded)
 
 
 def get_quasigroup(profile: NetworkProfile, order: int, index: int,

@@ -42,9 +42,9 @@ def mix64(z: int) -> int:
 def derive_seed(parts) -> int:
     """Fold a sequence of 64-bit words into a single 64-bit value.
 
-    Starting from state 0, each part is absorbed by adding it and then the
-    golden-ratio constant to the state; the finalizer runs once, on the
-    final state (0 for an empty sequence, since the finalizer fixes 0).
+    The result is mix64((sum of parts + count * GOLDEN) mod 2**64): each
+    part and the golden-ratio constant are added to a state that starts
+    at 0, and the finalizer runs once (0 for no parts, since it fixes 0).
     derive_seed([x]) equals the first output of SplitMix64(x), so stream
     draws and one-shot derivations agree.
 
@@ -56,10 +56,8 @@ def derive_seed(parts) -> int:
     The pinned outputs depend on this behaviour; positional absorption is
     ROADMAP item 3 (seed derivation v2).
     """
-    state = 0
-    for part in parts:
-        state = (state + (int(part) & MASK64) + GOLDEN) & MASK64
-    return mix64(state)
+    parts = [int(part) & MASK64 for part in parts]
+    return mix64(sum(parts) + len(parts) * GOLDEN)
 
 
 class SplitMix64:
@@ -122,7 +120,7 @@ def _vector_draws(seeds: list, n: int) -> tuple:
 
 
 def permutations_from_seeds(seeds, n: int) -> list:
-    """Deterministic Fisher-Yates shuffles of (1..n), one per seed.
+    """Deterministic Fisher-Yates shuffles of (1..n), one list per seed.
 
     Each walks i from n-1 down to 1, drawing j uniformly in [0, i] from the
     seed's SplitMix64 stream with rejection sampling and swapping positions
@@ -139,10 +137,10 @@ def permutations_from_seeds(seeds, n: int) -> list:
         items = list(range(1, n + 1))
         for i, j in zip(range(n - 1, 0, -1), js):
             items[i], items[j] = items[j], items[i]
-        perms.append(Permutation(tuple(items)))
+        perms.append(items)
     return perms
 
 
 def permutation_from_seed(seed: int, n: int) -> Permutation:
     """The Fisher-Yates shuffle of (1..n) for one seed."""
-    return permutations_from_seeds([seed], n)[0]
+    return Permutation(tuple(permutations_from_seeds([seed], n)[0]))
