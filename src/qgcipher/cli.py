@@ -54,11 +54,6 @@ MAX_SIM_NODES = 64
 MAX_SIM_STEPS = 200_000
 
 
-def _default_split(level_count: int) -> int:
-    """Levels of order r when none is named: half the levels, rounded up."""
-    return math.ceil(level_count / 2)
-
-
 def _inline_key(args, base: qgdb.NetworkProfile):
     """Frame from --key and --nonce, and the profile adapted to it: level
     count and split follow the key's index count, and r_min, r_max, s_max
@@ -73,7 +68,7 @@ def _inline_key(args, base: qgdb.NetworkProfile):
         r_max=max(base.r_max, frame.r),
         s_max=max(base.s_max, frame.s),
         level_count=k,
-        split=_default_split(k),
+        split=None,
         index_max=max(base.index_max, max(frame.indices)),
     )
     return frame, profile
@@ -139,8 +134,6 @@ def _load_profile(args):
 def cmd_profile_new(args):
     fields = {f.name: getattr(args, f.name)
               for f in dataclasses.fields(qgdb.NetworkProfile)}
-    if args.split is None:
-        fields["split"] = _default_split(args.level_count)
     _write_text(args.out, qgdb.profile_to_json(qgdb.NetworkProfile(**fields)))
     return 0
 
@@ -152,20 +145,23 @@ def cmd_keygen(args):
     return 0
 
 
+def _encrypt_text(args, profile, frame, alphabet):
+    """Derive the frame's hidden key, map the --in text, encrypt it."""
+    key = keying.derive_hidden_key(profile, frame)
+    plain = codec.text_to_symbols(_read_text(args.infile), alphabet)
+    return codec.encrypt(profile, frame, key, plain)
+
+
 def cmd_encrypt(args):
     profile, raw = _load_profile(args)
     frame, _ = keying.load_frame(args.frame)
-    key = keying.derive_hidden_key(profile, frame)
     alphabet = codec.get_alphabet(args.alphabet or profile.alphabet_id)
-    plain = codec.text_to_symbols(_read_text(args.infile), alphabet)
-    cipher = codec.encrypt(profile, frame, key, plain)
+    cipher = _encrypt_text(args, profile, frame, alphabet)
     if args.text:
         _write_text(args.out, codec.format_symbols(cipher))
     else:
         if args.out is None or args.out == "-":
-            print("error: binary output needs --out FILE (or use --text)",
-                  file=sys.stderr)
-            return 1
+            raise QGError("binary output needs --out FILE (or use --text)")
         blob = codec.pack_container(qgdb.profile_fingerprint(raw), frame, cipher)
         with open(args.out, "wb") as fh:
             fh.write(blob)
@@ -180,16 +176,12 @@ def cmd_decrypt(args):
         elif args.frame:
             frame, _ = keying.load_frame(args.frame)
         else:
-            print("error: --text decryption needs --frame or --key",
-                  file=sys.stderr)
-            return 1
+            raise QGError("--text decryption needs --frame or --key")
         cipher = codec.parse_symbols(_read_text(args.infile), frame.s)
     else:
         box = codec.unpack_container(_read_bytes(args.infile))
         if box.fingerprint != qgdb.profile_fingerprint(raw):
-            print("error: ciphertext was made under a different profile",
-                  file=sys.stderr)
-            return 1
+            raise QGError("ciphertext was made under a different profile")
         frame = box.frame()
         cipher = codec.SymbolStream(order=frame.s, symbols=box.symbols)
     key = keying.derive_hidden_key(profile, frame)
@@ -215,8 +207,7 @@ def cmd_analyze(args):
                                        key, alphabet=alphabet,
                                        max_lag=args.max_lag)
     else:
-        print("error: analyze needs --case or --in", file=sys.stderr)
-        return 1
+        raise QGError("analyze needs --case or --in")
     out = report.output_autocorrelation
     peak = max(abs(v) for v in out.normalized[1:]) if len(out.normalized) > 1 else 0.0
     print(f"case={report.case_id} n={len(report.input_stream)} "
@@ -264,10 +255,8 @@ def cmd_qg_dump(args):
 
 def cmd_legacy_encrypt(args):
     frame, profile = _inline_key(args, _load_profile(args)[0])
-    key = keying.derive_hidden_key(profile, frame)
     alphabet = codec.get_alphabet(args.alphabet)
-    plain = codec.text_to_symbols(_read_text(args.infile), alphabet)
-    cipher = codec.encrypt(profile, frame, key, plain)
+    cipher = _encrypt_text(args, profile, frame, alphabet)
     header = (
         "# legacy inline-key mode: tables come from this package's seeded\n"
         "# generator, so this output is implementation-specific and will not\n"

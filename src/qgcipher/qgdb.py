@@ -35,6 +35,11 @@ PROFILE_VERSION = 1
 # many tables, so a frame's tables stay cached from one message to the next.
 MAX_LEVELS = 16
 
+# Most table entries one frame may name (split tables of order r_max, the
+# rest of order s_max): a two-level frame at the order cap, about 670 MB at
+# some 20 bytes an entry with its inverse and both chain-row lists.
+MAX_FRAME_ENTRIES = 2 * MAX_ORDER ** 2
+
 
 # --- alphabets ---------------------------------------------------------------
 
@@ -112,7 +117,7 @@ class NetworkProfile:
     (a validity duration in abstract time units): every issued nonce t
     satisfies nonce_lower < t < nonce_upper.  split is the number of
     leading encryption levels that use tables of order r; the remaining
-    levels use order s.
+    levels use order s.  Left out, split is half the levels rounded up.
     """
 
     profile_id: str = "default"
@@ -121,7 +126,7 @@ class NetworkProfile:
     r_max: int = 128
     s_max: int = 256
     level_count: int = 6
-    split: int = 3
+    split: int | None = None
     index_max: int = 1000
     nonce_upper: int = 1000
     nonce_lower: int = 100
@@ -138,8 +143,15 @@ class NetworkProfile:
             raise ProfileInvalid(f"s_max {self.s_max} exceeds maximum {MAX_ORDER}")
         if not 2 <= self.level_count <= MAX_LEVELS:
             raise ProfileInvalid(f"level_count must be in 2..{MAX_LEVELS}")
+        if self.split is None:
+            object.__setattr__(self, "split", (self.level_count + 1) // 2)
         if not 1 <= self.split < self.level_count:
             raise ProfileInvalid("split must satisfy 1 <= split < level_count")
+        entries = (self.split * self.r_max ** 2
+                   + (self.level_count - self.split) * self.s_max ** 2)
+        if entries > MAX_FRAME_ENTRIES:
+            raise ProfileInvalid(f"a frame could name {entries} table entries, "
+                                 f"more than the maximum {MAX_FRAME_ENTRIES}")
         if self.index_max < 1:
             raise ProfileInvalid("index_max must be >= 1")
         if self.nonce_lower <= 0:

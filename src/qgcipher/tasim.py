@@ -92,16 +92,16 @@ def issue_frame(sim: SimState) -> SimState:
     """Authority draws a fresh frame from its seed stream and broadcasts it.
 
     The frame derives from the stream, not from operator choice, so not
-    even the authority knows the next one in advance.  Every node validates
-    at the current clock before storing.
+    even the authority knows the next one in advance.  It is validated once,
+    at the current clock, and every node stores it if it is valid.
     """
     frame = generate_frame(sim.profile, sim._stream.next_raw(),
                            issued_at=sim.clock)
     sim.current_frame = frame
     sim.record("issue", f"r={frame.r} s={frame.s} nonce={frame.nonce} "
                         f"indices={','.join(map(str, frame.indices))}")
+    verdict = validate_frame(sim.profile, frame, sim.clock)
     for node in sim.nodes.values():
-        verdict = validate_frame(sim.profile, frame, sim.clock)
         if verdict.is_valid:
             node.frame = frame
             sim.record("accept", node.node_id)

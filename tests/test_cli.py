@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 import subprocess
 import sys
 
@@ -119,6 +121,35 @@ def test_decrypt_rejects_wrong_profile(workspace, tmp_path, capsys):
     main(["profile-new", "--db-seed", "99", "--out", str(other)])
     assert main(["decrypt", "--profile", str(other), "--in", str(box)]) == 1
     assert "different profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["encrypt", "--profile", "{profile}", "--frame", "{frame}",
+                  "--in", "{msg}"],
+                 "binary output needs --out FILE (or use --text)",
+                 id="encrypt-binary-without-out"),
+    pytest.param(["decrypt", "--text", "--profile", "{profile}", "--in", "{msg}"],
+                 "--text decryption needs --frame or --key",
+                 id="decrypt-text-without-key"),
+    pytest.param(["decrypt", "--profile", "{other}", "--in", "{box}"],
+                 "ciphertext was made under a different profile",
+                 id="decrypt-other-profile"),
+    pytest.param(["analyze"], "analyze needs --case or --in",
+                 id="analyze-without-input"),
+])
+def test_command_failures_print_one_error_line(argv, message, workspace,
+                                               capsys):
+    tmp, profile, frame = workspace
+    paths = {"profile": profile, "frame": frame, "msg": tmp / "msg.txt",
+             "box": tmp / "msg.qge", "other": tmp / "other.json"}
+    paths["msg"].write_text("HI")
+    assert main(["encrypt", "--profile", str(profile), "--frame", str(frame),
+                 "--in", str(paths["msg"]), "--out", str(paths["box"])]) == 0
+    assert main(["profile-new", "--db-seed", "99",
+                 "--out", str(paths["other"])]) == 0
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_analyze_case_emits_csv(capsys):
@@ -283,6 +314,15 @@ def test_profile_new_custom_parameters(tmp_path):
     assert 8 <= frame.r <= 16 < frame.s <= 32
 
 
+@pytest.mark.parametrize("k", range(2, qgdb.MAX_LEVELS + 1))
+def test_split_defaults_to_half_the_levels_in_library_and_cli(k, tmp_path):
+    out = tmp_path / "net.json"
+    assert main(["profile-new", "--levels", str(k), "--out", str(out)]) == 0
+    split = qg.NetworkProfile(level_count=k).split
+    assert split == math.ceil(k / 2)
+    assert json.loads(out.read_text())["m"] == split
+
+
 def test_simulate_margin_flag(capsys):
     assert main(["simulate", "--duration", "1", "--seed", "9",
                  "--margin", "90"]) == 0
@@ -365,6 +405,10 @@ def test_simulate_send_count_is_capped(tmp_path, monkeypatch, capsys):
     pytest.param(["decrypt", "--text", "--key",
                   "20, 40, " + ", ".join(["1"] * (qgdb.MAX_LEVELS + 1))],
                  f"2..{qgdb.MAX_LEVELS}", id="too-many-levels"),
+    # each order under the cap, but 268,369,928 table entries in one frame
+    pytest.param(["decrypt", "--text", "--key",
+                  "4095, 4096, " + ", ".join(map(str, range(1, 17)))],
+                 f"maximum {qgdb.MAX_FRAME_ENTRIES}", id="frame-budget"),
 ])
 def test_inline_key_order_is_capped_before_any_table(argv, cap, tmp_path,
                                                      capsys, monkeypatch):
@@ -400,10 +444,10 @@ def test_qg_dump_order_is_capped_before_any_table(order, monkeypatch, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("s_max", qg.MAX_ORDER + 1), ("k", qgdb.MAX_LEVELS + 1), ("k", 10 ** 9),
+    ("s_max", qg.MAX_ORDER),
 ])
 def test_profile_file_bounds_hold_before_any_frame(key, value, tmp_path,
                                                    monkeypatch, capsys):
-    import json
     obj = json.loads(qg.profile_to_json(qg.default_profile()))
     obj[key] = value
     path = tmp_path / "big.json"

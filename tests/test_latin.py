@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,28 @@ def test_entry_out_of_range():
     assert (err.value.row, err.value.col) == (2, 2)
     with pytest.raises(EntryOutOfRange):
         qg.validate_latin_square([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("table, cell", [
+    ([[2 ** 70]], (1, 1)),
+    ([[1, 2], [2, 2 ** 64]], (2, 2)),
+    ([[float("nan"), 1], [1, 2]], (1, 1)),
+    ([[1, 2], [2, float("inf")]], (2, 2)),
+    ([[1, 1.5], [2, 1]], (1, 2)),
+    ([["x", 2], [2, 1]], (1, 1)),
+    ([[None, 2], [2, 1]], (1, 1)),
+], ids=["2**70", "2**64", "nan", "inf", "1.5", "str", "None"])
+def test_non_integer_entries_are_out_of_range(table, cell):
+    # an EntryOutOfRange at the first such cell: no OverflowError, and no
+    # numpy cast warning, which pyproject.toml makes a test error
+    with pytest.raises(EntryOutOfRange) as err:
+        qg.validate_latin_square(table)
+    assert (err.value.row, err.value.col) == cell
+
+
+def test_integral_float_entries_are_accepted():
+    square = qg.validate_latin_square([[1.0, 2.0], [2.0, 1.0]])
+    assert square.table.tolist() == [[1, 2], [2, 1]]
 
 
 # --- multiplication and division --------------------------------------------------
@@ -208,6 +231,20 @@ def test_chain_rows_share_one_int_per_symbol(order):
     assert [row[0] for row in rows] == [0] * (order + 1)
     assert rows[1][1:] == square.table.tolist()[0]
     assert len({id(v) for row in rows for v in row}) == order + 1
+
+
+def test_chain_rows_above_256_peak_near_what_they_keep():
+    # Gathering the whole (n+1)^2 object array first would peak at twice
+    # the rows' own size.
+    square = qg.base_square(1024)
+    tracemalloc.start()
+    try:
+        rows = square._rows
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1025
+    assert peak <= 1.25 * kept
 
 
 def test_format_table_bytes_at_order_256_are_pinned():
