@@ -153,6 +153,8 @@ def _encrypt_text(args, profile, frame, alphabet):
 
 
 def cmd_encrypt(args):
+    if not args.text and args.out in (None, "-"):
+        raise QGError("binary output needs --out FILE (or use --text)")
     profile, raw = _load_profile(args)
     frame, _ = keying.load_frame(args.frame)
     alphabet = codec.get_alphabet(args.alphabet or profile.alphabet_id)
@@ -160,8 +162,6 @@ def cmd_encrypt(args):
     if args.text:
         _write_text(args.out, codec.format_symbols(cipher))
     else:
-        if args.out is None or args.out == "-":
-            raise QGError("binary output needs --out FILE (or use --text)")
         blob = codec.pack_container(qgdb.profile_fingerprint(raw), frame, cipher)
         with open(args.out, "wb") as fh:
             fh.write(blob)

@@ -1,11 +1,12 @@
 """Discrete-event simulation of the trusted authority and its nodes.
 
-One authority periodically broadcasts key frames; nodes accept them after
-validation and use them to exchange messages.  Frames expire when their
-nonce runs out, and with auto-rekey enabled the authority reissues a frame
-whenever the current one comes within `rekey_margin` time units of expiry,
-so honest traffic never hits an expired frame.  Transport is abstract and
-lossless; the object of study is the key lifecycle.
+One authority periodically broadcasts key frames; a node that accepts one
+derives its hidden key from it once and keeps both until the next frame.
+Frames expire when their nonce runs out, and with auto-rekey enabled the
+authority reissues a frame whenever the current one comes within
+`rekey_margin` time units of expiry, so honest traffic never hits an
+expired frame.  Transport is abstract and lossless; the object of study is
+the key lifecycle.
 
 All randomness flows from the master seed, so a whole run -- including its
 event log -- is a pure function of (profile, node_count, master_seed,
@@ -20,7 +21,7 @@ from typing import Optional
 from .codec import get_alphabet, symbols_to_text, text_to_symbols, decrypt, encrypt
 from .errors import NegativeTime, TooFewNodes, UnknownNode
 from .keying import (
-    FrameStatus,
+    HiddenKey,
     KeyFrame,
     derive_hidden_key,
     generate_frame,
@@ -34,6 +35,7 @@ from .seeds import SplitMix64
 class NodeState:
     node_id: str
     frame: Optional[KeyFrame] = None
+    key: Optional[HiddenKey] = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,8 @@ def issue_frame(sim: SimState) -> SimState:
 
     The frame derives from the stream, not from operator choice, so not
     even the authority knows the next one in advance.  It is validated once,
-    at the current clock, and every node stores it if it is valid.
+    at the current clock; if valid, its hidden key is derived once (every node
+    holds the same profile) and every node stores the frame with that key.
     """
     frame = generate_frame(sim.profile, sim._stream.next_raw(),
                            issued_at=sim.clock)
@@ -101,9 +104,10 @@ def issue_frame(sim: SimState) -> SimState:
     sim.record("issue", f"r={frame.r} s={frame.s} nonce={frame.nonce} "
                         f"indices={','.join(map(str, frame.indices))}")
     verdict = validate_frame(sim.profile, frame, sim.clock)
+    key = derive_hidden_key(sim.profile, frame) if verdict.is_valid else None
     for node in sim.nodes.values():
         if verdict.is_valid:
-            node.frame = frame
+            node.frame, node.key = frame, key
             sim.record("accept", node.node_id)
         else:
             sim.record("reject-frame", f"{node.node_id}: {verdict.reason}")
@@ -128,34 +132,29 @@ def node_send(sim: SimState, from_node: str, to_node: str,
               text: str) -> SendResult:
     """End-to-end message: encrypt at the sender, decrypt at the receiver.
 
-    Both sides derive the hidden key independently from their own stored
-    frame.  Delivered plaintext is the folded input text.
+    Each side uses the hidden key it derived on accepting its frame.  A send
+    that cannot be delivered is logged and does no cipher work.  Delivered
+    plaintext is the folded input text.
     """
     for node_id in (from_node, to_node):
         if node_id not in sim.nodes:
             raise UnknownNode(f"unknown node {node_id!r}")
     sender = sim.nodes[from_node]
     receiver = sim.nodes[to_node]
-    if sender.frame is None:
+    if sender.frame is None or receiver.frame is None:
         sim.record("send-rejected", f"{from_node}->{to_node}: no frame")
         return SendResult(delivered=False, reason="no-frame")
-    alphabet = get_alphabet(sim.profile.alphabet_id)
-    sender_key = derive_hidden_key(sim.profile, sender.frame)
-    cipher = encrypt(sim.profile, sender.frame, sender_key,
-                     text_to_symbols(text, alphabet))
-    if receiver.frame is None:
-        sim.record("send-rejected", f"{from_node}->{to_node}: no frame")
-        return SendResult(delivered=False, reason="no-frame")
+    # A stored frame passed validate_frame once, so only expiry can fail here.
     verdict = validate_frame(sim.profile, receiver.frame, sim.clock)
-    if verdict.status is FrameStatus.EXPIRED:
-        sim.record("send-rejected", f"{from_node}->{to_node}: expired")
-        return SendResult(delivered=False, reason="expired")
-    if verdict.status is FrameStatus.INVALID:
-        sim.record("send-rejected", f"{from_node}->{to_node}: {verdict.reason}")
-        return SendResult(delivered=False, reason="invalid")
-    receiver_key = derive_hidden_key(sim.profile, receiver.frame)
+    if not verdict.is_valid:
+        reason = verdict.status.value
+        sim.record("send-rejected", f"{from_node}->{to_node}: {reason}")
+        return SendResult(delivered=False, reason=reason)
+    alphabet = get_alphabet(sim.profile.alphabet_id)
+    cipher = encrypt(sim.profile, sender.frame, sender.key,
+                     text_to_symbols(text, alphabet))
     plain = symbols_to_text(
-        decrypt(sim.profile, receiver.frame, receiver_key, cipher), alphabet)
+        decrypt(sim.profile, receiver.frame, receiver.key, cipher), alphabet)
     sim.record("delivered", f"{from_node}->{to_node} len={len(plain)}")
     return SendResult(delivered=True, plaintext=plain)
 

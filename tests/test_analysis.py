@@ -184,6 +184,21 @@ def test_constant_input_entropy_is_high(profile):
     assert qg.entropy(out) >= 0.8 * math.log2(frame.s)
 
 
+def test_constant_input_scrambling_holds_on_frame_seeds_1_to_1000(profile):
+    # Criterion 7's input and thresholds over a fixed range of frame seeds,
+    # so the pinned seed 7 is not a lucky frame.  The range never moves.
+    failures = []
+    for seed in range(1, 1001):
+        frame = qg.generate_frame(profile, seed)
+        key = qg.derive_hidden_key(profile, frame)
+        out = qg.encrypt(profile, frame, key, qg.SymbolStream(frame.r, (5,) * 500))
+        peak = max(abs(v) for v in qg.autocorrelation(out, 20).normalized[1:])
+        if (len(set(out.symbols)) < math.ceil(frame.s / 2)
+                or qg.entropy(out) < 0.8 * math.log2(frame.s) or peak > 0.25):
+            failures.append(seed)
+    assert failures == []
+
+
 # --- demonstration cases -------------------------------------------------------------------
 
 def test_case_inputs_are_pinned():

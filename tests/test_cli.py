@@ -128,6 +128,10 @@ def test_decrypt_rejects_wrong_profile(workspace, tmp_path, capsys):
                   "--in", "{msg}"],
                  "binary output needs --out FILE (or use --text)",
                  id="encrypt-binary-without-out"),
+    pytest.param(["encrypt", "--profile", "{profile}", "--frame", "{frame}",
+                  "--in", "{msg}.missing"],
+                 "binary output needs --out FILE (or use --text)",
+                 id="encrypt-binary-without-out-checked-before-input"),
     pytest.param(["decrypt", "--text", "--profile", "{profile}", "--in", "{msg}"],
                  "--text decryption needs --frame or --key",
                  id="decrypt-text-without-key"),

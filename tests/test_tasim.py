@@ -1,7 +1,14 @@
 import pytest
 
 import qgcipher as qg
-from qgcipher.errors import NegativeTime, TooFewNodes, UnknownNode
+from qgcipher import tasim
+from qgcipher.cli import main
+from qgcipher.errors import (
+    NegativeTime,
+    TooFewNodes,
+    UnknownNode,
+    UnmappableCharacter,
+)
 
 
 def _run_script(seed):
@@ -146,3 +153,64 @@ def test_log_line_format(profile):
         assert kind
     assert any(line.split("\t")[1] == "issue" for line in lines)
     assert sum(1 for line in lines if line.split("\t")[1] == "accept") == 2
+
+
+def _spy(monkeypatch, name):
+    """Replace tasim's `name` with a wrapper that records its calls."""
+    real = getattr(tasim, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tasim, name, spy)
+    return calls
+
+
+def test_a_key_is_derived_once_per_issued_frame(monkeypatch, capsys):
+    derived = _spy(monkeypatch, "derive_hidden_key")
+    argv = ["simulate", "--nodes", "4", "--duration", "50", "--seed", "5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\tdelivered\t") == 1000
+    assert len(derived) == out.count("\tissue\t") == 100
+
+
+def test_undeliverable_sends_do_no_cipher_work(profile, monkeypatch):
+    sim = qg.sim_init(profile, 3, 5, auto_rekey=False)
+    qg.issue_frame(sim)
+    sim.nodes["node3"] = tasim.NodeState("node3")  # joined after the issue
+    derived = _spy(monkeypatch, "derive_hidden_key")
+    encrypted = _spy(monkeypatch, "encrypt")
+    assert qg.node_send(sim, "node1", "node3", "HI").reason == "no-frame"
+    qg.advance(sim, sim.current_frame.nonce)
+    assert qg.node_send(sim, "node1", "node2", "HI").reason == "expired"
+    assert derived == [] and encrypted == []
+    assert [e.details for e in sim.log if e.kind == "send-rejected"] == [
+        "node1->node3: no frame", "node1->node2: expired"]
+
+
+def test_each_node_keeps_the_key_of_its_frame(profile):
+    sim = qg.sim_init(profile, 3, 13)
+
+    def check():
+        for node in sim.nodes.values():
+            assert node.key == qg.derive_hidden_key(profile, node.frame)
+
+    qg.issue_frame(sim)
+    check()
+    frames = {sim.current_frame}
+    while len(frames) < 5:
+        qg.advance(sim, profile.nonce_lower // 2)
+        check()
+        frames.add(sim.current_frame)
+
+
+def test_deliverable_unmappable_send_raises_and_logs_nothing(profile):
+    sim = qg.sim_init(profile, 2, 5)
+    qg.issue_frame(sim)
+    entries = len(sim.log)
+    with pytest.raises(UnmappableCharacter):
+        qg.node_send(sim, "node1", "node2", "HI~")
+    assert len(sim.log) == entries
