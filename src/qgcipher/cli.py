@@ -129,6 +129,15 @@ def _load_profile(args):
     return profile, qgdb.profile_to_json(profile).encode("utf-8")
 
 
+def _load_frame(args, profile):
+    """Frame from --frame, whose file must name this profile's id."""
+    frame, profile_id = keying.load_frame(args.frame)
+    if profile_id != profile.profile_id:
+        raise QGError(f"frame was issued for profile {profile_id!r}, "
+                      f"not {profile.profile_id!r}")
+    return frame
+
+
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_profile_new(args):
@@ -156,7 +165,7 @@ def cmd_encrypt(args):
     if not args.text and args.out in (None, "-"):
         raise QGError("binary output needs --out FILE (or use --text)")
     profile, raw = _load_profile(args)
-    frame, _ = keying.load_frame(args.frame)
+    frame = _load_frame(args, profile)
     alphabet = codec.get_alphabet(args.alphabet or profile.alphabet_id)
     cipher = _encrypt_text(args, profile, frame, alphabet)
     if args.text:
@@ -174,7 +183,7 @@ def cmd_decrypt(args):
         if args.key:
             frame, profile = _inline_key(args, profile)
         elif args.frame:
-            frame, _ = keying.load_frame(args.frame)
+            frame = _load_frame(args, profile)
         else:
             raise QGError("--text decryption needs --frame or --key")
         cipher = codec.parse_symbols(_read_text(args.infile), frame.s)
@@ -194,7 +203,7 @@ def cmd_decrypt(args):
 def cmd_analyze(args):
     profile, _ = _load_profile(args)
     if args.frame:
-        frame, _ = keying.load_frame(args.frame)
+        frame = _load_frame(args, profile)
     else:
         frame = keying.generate_frame(profile, args.seed)
     key = keying.derive_hidden_key(profile, frame)

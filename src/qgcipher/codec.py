@@ -12,7 +12,7 @@ A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
 only range check (a tighter limit reads the symbols only when the declared
 order exceeds it).  Streams from outside input are checked when built; the
 text edge and the levels, whose outputs are in range by construction, skip
-the check.  Each direction has one chain loop, used at every level.
+the check.  A level's loops are latin.chain and latin.unchain.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -35,7 +35,7 @@ from .errors import (
     UnmappableCharacter,
 )
 from .keying import HiddenKey, KeyFrame, level_orders
-from .latin import LatinSquare, left_inverse
+from .latin import LatinSquare, chain, unchain
 # ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
 from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
                    NetworkProfile, get_alphabet, get_quasigroup)
@@ -132,25 +132,6 @@ def symbols_to_text(stream: SymbolStream, alphabet: Alphabet = LATIN27) -> str:
 
 # --- single-level transformation ----------------------------------------------
 
-def _chain(rows: list, leader: int, symbols) -> list:
-    """out[1] = leader * in[1], out[i] = out[i-1] * in[i], over a square's
-    padded 1-indexed rows (rows[a][b] == a * b)."""
-    out = []
-    prev = leader
-    for sym in symbols:
-        prev = rows[prev][sym]
-        out.append(prev)
-    return out
-
-
-def _unchain(inv_rows: list, leader: int, symbols) -> list:
-    """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i], over the inverse's
-    padded rows.  The row is looked up before `prev` moves on to the
-    current symbol."""
-    prev = leader
-    return [inv_rows[prev][(prev := sym)] for sym in symbols]
-
-
 def _check_level_args(square: LatinSquare, leader: int, stream: SymbolStream):
     if not 1 <= leader <= square.order:
         raise LeaderOutOfRange(f"leader {leader} outside 1..{square.order}")
@@ -166,7 +147,7 @@ def encrypt_level(square: LatinSquare, leader: int,
     """One chained pass: out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
     _check_level_args(square, leader, stream)
     return SymbolStream._trusted(square.order,
-                                 _chain(square._rows, leader, stream.symbols))
+                                 chain(square, leader, stream.symbols))
 
 
 def decrypt_level(square: LatinSquare, leader: int,
@@ -174,14 +155,14 @@ def decrypt_level(square: LatinSquare, leader: int,
     """Exact inverse of encrypt_level over the same table and leader:
     out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i]."""
     _check_level_args(square, leader, cipher)
-    inv_rows = left_inverse(square)._rows
     return SymbolStream._trusted(square.order,
-                                 _unchain(inv_rows, leader, cipher.symbols))
+                                 unchain(square, leader, cipher.symbols))
 
 
 # --- multi-level indexed encryptor ---------------------------------------------
 
 def _check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey):
+    """Each level's (order, index, multiplier), once the key is checked."""
     orders = level_orders(profile, frame)
     if key.level_orders != orders:
         raise KeyMismatch(f"key level orders {key.level_orders} do not match "
@@ -192,7 +173,7 @@ def _check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey):
     for j, (q, n_j) in enumerate(zip(key.multipliers, orders), 1):
         if not 1 <= q <= n_j:
             raise KeyMismatch(f"multiplier {q} at level {j} outside 1..{n_j}")
-    return orders
+    return list(zip(orders, frame.indices, key.multipliers))
 
 
 def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
@@ -203,14 +184,14 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     and the j-th multiplier as leader.  Plaintext symbols must fit the
     first table (1..r); the result has order s.
     """
-    orders = _check_key(profile, frame, key)
+    levels = _check_key(profile, frame, key)
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
     symbols = plaintext.symbols
-    for order, index, q in zip(orders, frame.indices, key.multipliers):
-        square = get_quasigroup(profile, order, index, frame.nonce)
-        symbols = _chain(square._rows, q, symbols)
+    for order, index, q in levels:
+        symbols = chain(get_quasigroup(profile, order, index, frame.nonce),
+                        q, symbols)
     return SymbolStream._trusted(frame.s, symbols)
 
 
@@ -223,19 +204,17 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     leave symbols above r once the order-s levels are undone; the first
     order-r level then raises ForgedCiphertext.
     """
-    orders = _check_key(profile, frame, key)
+    levels = _check_key(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
     symbols = ciphertext.symbols
-    for level, order, index, q in zip(range(len(orders), 0, -1), reversed(orders),
-                                      reversed(frame.indices),
-                                      reversed(key.multipliers)):
+    for level, (order, index, q) in reversed(list(enumerate(levels, 1))):
         square = get_quasigroup(profile, order, index, frame.nonce)
         try:
-            symbols = _unchain(left_inverse(square)._rows, q, symbols)
+            symbols = unchain(square, q, symbols)
         except IndexError:
-            # a symbol above the order indexes past the padded rows
+            # a symbol above the order, which unchain cannot undo
             raise ForgedCiphertext(*_first_outside(symbols, order),
                                    level, order) from None
     return SymbolStream._trusted(frame.r, symbols)

@@ -7,10 +7,10 @@ vector -- is never transmitted; sender and receiver both derive it from the
 frame and the shared profile, so it only has to be derivable identically on
 both ends.
 
-Frame validity is split in two: structural validity (r in the profile's
-r_min..r_max and r < s <= s_max, index count and ranges, nonce bounds) and
-temporal validity (the frame expires at issued_at + nonce, exclusive).  Hidden-key derivation requires only the
-structural part; expiry is enforced where frames are accepted.
+Frame validity has two parts: structural (r in the profile's r_min..r_max,
+r < s <= s_max, index count and ranges, nonce bounds) and temporal (the
+frame expires at issued_at + nonce, exclusive).  Hidden-key derivation
+needs only the structural part; expiry is enforced where frames are accepted.
 """
 
 from __future__ import annotations

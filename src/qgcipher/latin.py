@@ -1,10 +1,10 @@
 """Latin-square algebra over the symbols 1..n.
 
 A quasigroup's multiplication table is a Latin square: every row and every
-column is a permutation of 1..n.  This module validates tables, performs
-row/column lookups (multiplication), solves a * x = b by left division,
-materializes the left-inverse parastrophe used for decryption, and applies
-isotopies (row/column/symbol permutations).
+column is a permutation of 1..n.  This module checks orders, validates
+tables, multiplies, left-divides, materializes the left-inverse parastrophe
+used for decryption, applies isotopies, and runs one cipher level's chain
+loop each way: it is the only module that reads a table's storage.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -65,7 +65,7 @@ class LatinSquare:
     def _rows(self) -> list:
         """The padded table as nested lists, so that _rows[a][b] == a * b.
         Indexing a list with an int is the interpreter's fastest lookup,
-        which is what the codec's per-symbol chain loops need."""
+        which is what the per-symbol loops of chain and unchain need."""
         n = self.order
         # Up to 256, tolist() already shares CPython's cached small ints, and
         # it builds about twice as fast as the gather below; cold builds set
@@ -122,6 +122,14 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
 
+def check_order(n: int, least: int = 1) -> None:
+    """Raise InvalidOrder unless least <= n <= MAX_ORDER."""
+    if n < least:
+        raise InvalidOrder(f"order must be >= {least}, got {n}")
+    if n > MAX_ORDER:
+        raise InvalidOrder(f"order {n} exceeds maximum {MAX_ORDER}")
+
+
 def validate_latin_square(table) -> LatinSquare:
     """Check that `table` is a Latin square and wrap it.
 
@@ -133,9 +141,13 @@ def validate_latin_square(table) -> LatinSquare:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise NotSquare(f"expected a non-empty square table, got shape {arr.shape}")
     n = arr.shape[0]
-    if n > MAX_ORDER:
-        raise InvalidOrder(f"order {n} exceeds maximum {MAX_ORDER}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    check_order(n)
+    if np.issubdtype(arr.dtype, np.floating):
+        # a cell that is no integer in 1..n becomes 0, which the range check
+        # below reports; masked first, as casting nan or inf would warn
+        ok = (arr >= 1) & (arr <= n) & (np.floor(arr) == arr)
+        arr = np.where(ok, arr, 0).astype(np.int64)
+    elif not np.issubdtype(arr.dtype, np.integer):
         # each entry must be an integer in 1..n, so that the cast is exact
         for r, row in enumerate(arr.tolist()):
             for c, entry in enumerate(row):
@@ -183,11 +195,30 @@ def left_inverse(square: LatinSquare) -> LatinSquare:
     """The left-inverse parastrophe: entry (a, b) is a \\ b.
 
     The result is itself a Latin square, and applying left_inverse twice
-    returns the original table.  The table is materialized once and cached
-    on the input square, so repeated decryption against the same square
-    pays for the construction only once.
+    returns the original table.  It is built once and cached on the input
+    square, where unchain reads it too.
     """
     return square._inverse
+
+
+def chain(square: LatinSquare, leader: int, symbols) -> list:
+    """Unchecked: out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
+    rows = square._rows
+    out = []
+    prev = leader
+    for sym in symbols:
+        prev = rows[prev][sym]
+        out.append(prev)
+    return out
+
+
+def unchain(square: LatinSquare, leader: int, symbols) -> list:
+    """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i], over the left
+    inverse's chain rows, each row looked up before `prev` moves on.  A
+    symbol above the order raises IndexError, which decrypt relies on."""
+    rows = square._inverse._rows
+    prev = leader
+    return [rows[prev][(prev := sym)] for sym in symbols]
 
 
 def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
-from .latin import MAX_ORDER, LatinSquare, table_dtype
+from .latin import MAX_ORDER, LatinSquare, check_order, table_dtype
 from .seeds import MASK64, derive_seed, permutations_from_seeds
 
 # Default database seed: first 16 hex digits of the fractional part of pi,
@@ -278,10 +278,7 @@ def profile_fingerprint(raw: bytes) -> int:
 
 def base_square(n: int) -> LatinSquare:
     """The canonical cyclic square: entry (a, b) = ((a + b - 2) mod n) + 1."""
-    if n < 1:
-        raise InvalidOrder(f"order must be >= 1, got {n}")
-    if n > MAX_ORDER:
-        raise InvalidOrder(f"order {n} exceeds maximum {MAX_ORDER}")
+    check_order(n)
     idx = np.arange(n, dtype=np.int32)
     return LatinSquare(np.pad((idx[:, None] + idx[None, :]) % n + 1, (1, 0)))
 
@@ -316,10 +313,7 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
     MAX_LEVELS tables are memoized, one frame's worth at the largest level
     count; the cache is safe for concurrent lookups.
     """
-    if order < 2:
-        raise InvalidOrder(f"order must be >= 2, got {order}")
-    if order > MAX_ORDER:
-        raise InvalidOrder(f"order {order} exceeds maximum {MAX_ORDER}")
+    check_order(order, least=2)
     if not 1 <= index <= profile.index_max:
         raise IndexOutOfRange(f"index {index} outside 1..{profile.index_max}")
     return _indexed_square(profile.db_seed, order, index, int(nonce) & MASK64)

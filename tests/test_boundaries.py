@@ -8,6 +8,7 @@ bounded so that the suite's run time barely moves.
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -171,3 +172,34 @@ def test_parse_symbols_raises_only_qgerrors(text, order):
 @settings(max_examples=100, deadline=None)
 def test_parse_legacy_key_raises_only_qgerrors(text):
     _accepts_or_raises_qgerror(parse_legacy_key, text)
+
+
+# --- memory --------------------------------------------------------------------
+
+# Each input is about 1 MB.  A parser may take memory in proportion to its
+# input, but not more than 32 times it.
+HOSTILE = [
+    pytest.param(qg.profile_from_json, lambda: _with_raw_value(
+        PROFILE_TEXT, "r_min", json.dumps([10] * 350_000)), id="profile-list"),
+    pytest.param(qg.frame_from_json, lambda: _with_raw_value(
+        FRAME_TEXT, "indices", json.dumps([10] * 350_000)), id="frame-indices"),
+    pytest.param(lambda text: qg.parse_symbols(text, 255),
+                 lambda: "255 " * 250_000, id="symbols"),
+    pytest.param(parse_legacy_key, lambda: "35, 41" + ", 7" * 350_000,
+                 id="legacy-key"),
+    pytest.param(qg.unpack_container, lambda: qg.pack_container(
+        0, FRAME, qg.SymbolStream(FRAME.s, (FRAME.s,) * 500_000)),
+        id="container"),
+]
+
+
+@pytest.mark.parametrize("parse, make", HOSTILE)
+def test_parsers_take_memory_in_proportion_to_their_input(parse, make):
+    data = make()
+    tracemalloc.start()
+    try:
+        _accepts_or_raises_qgerror(parse, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * len(data) + 2 ** 20

@@ -156,6 +156,27 @@ def test_command_failures_print_one_error_line(argv, message, workspace,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["encrypt", "--out", "{tmp}/msg.qge"], id="encrypt"),
+    pytest.param(["decrypt", "--text"], id="decrypt-text"),
+    pytest.param(["analyze"], id="analyze"),
+])
+def test_a_frame_issued_for_another_profile_is_refused(argv, workspace,
+                                                       capsys):
+    tmp, profile, _ = workspace
+    other, frame = tmp / "netA.json", tmp / "netA-frame.json"
+    assert main(["profile-new", "--id", "netA", "--out", str(other)]) == 0
+    assert main(["keygen", "--profile", str(other), "--seed", "7",
+                 "--out", str(frame)]) == 0
+    capsys.readouterr()
+    # the input file is missing: the frame is checked before it is read
+    assert main([arg.format(tmp=tmp) for arg in argv]
+                + ["--profile", str(profile), "--frame", str(frame),
+                   "--in", str(tmp / "missing.txt")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: frame was issued for profile 'netA', not 'default'\n")
+
+
 def test_analyze_case_emits_csv(capsys):
     assert main(["analyze", "--case", "6", "--max-lag", "8"]) == 0
     captured = capsys.readouterr()

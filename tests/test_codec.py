@@ -278,6 +278,14 @@ def test_key_mismatch(profile):
         qg.encrypt(profile, frame, bad, qg.SymbolStream(frame.r, (1,)))
 
 
+def test_key_with_a_multiplier_too_few_is_a_mismatch(profile):
+    import dataclasses
+    frame, key = _material(profile)
+    short = dataclasses.replace(key, multipliers=key.multipliers[:-1])
+    with pytest.raises(KeyMismatch, match="^expected 6 multipliers, got 5$"):
+        qg.encrypt(profile, frame, short, qg.SymbolStream(frame.r, (1,)))
+
+
 # --- text mapping -------------------------------------------------------------------------
 
 LETTERS = qg.Alphabet("letters", {"A": 1, "B": 2}, {1: "A", 2: "B"})

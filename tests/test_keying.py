@@ -140,6 +140,13 @@ def test_equal_orders_are_invalid(profile):
     assert verdict.reason == "r must be < s"
 
 
+def test_nonce_outside_the_profile_window_is_invalid(profile):
+    frame = dataclasses.replace(qg.generate_frame(profile, 7), nonce=5)
+    verdict = qg.validate_frame(profile, frame, now=0)
+    assert verdict.status is FrameStatus.INVALID
+    assert verdict.reason == "nonce 5 outside (100, 1000)"
+
+
 def test_validation_is_monotone_in_now(profile):
     frame = qg.generate_frame(profile, 5, issued_at=0)
     expired_seen = False

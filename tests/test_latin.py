@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgcipher as qg
+from qgcipher import latin
 from qgcipher.errors import (
     DuplicateInColumn,
     DuplicateInRow,
     EntryOutOfRange,
+    InvalidOrder,
     NotSquare,
     SizeMismatch,
     SymbolOutOfRange,
@@ -65,7 +69,12 @@ def test_entry_out_of_range():
     ([[1, 1.5], [2, 1]], (1, 2)),
     ([["x", 2], [2, 1]], (1, 1)),
     ([[None, 2], [2, 1]], (1, 1)),
-], ids=["2**70", "2**64", "nan", "inf", "1.5", "str", "None"])
+    ([[1, 2], [-0.0, 1]], (2, 1)),
+    ([[1, 5.0], [2, 1]], (1, 2)),
+    ([[1, 2], [2, 1e300]], (2, 2)),
+    ([[1, 2], [float("-inf"), 1]], (2, 1)),
+], ids=["2**70", "2**64", "nan", "inf", "1.5", "str", "None", "-0.0", "5.0",
+        "1e300", "-inf"])
 def test_non_integer_entries_are_out_of_range(table, cell):
     # an EntryOutOfRange at the first such cell: no OverflowError, and no
     # numpy cast warning, which pyproject.toml makes a test error
@@ -77,6 +86,44 @@ def test_non_integer_entries_are_out_of_range(table, cell):
 def test_integral_float_entries_are_accepted():
     square = qg.validate_latin_square([[1.0, 2.0], [2.0, 1.0]])
     assert square.table.tolist() == [[1, 2], [2, 1]]
+
+
+def test_float_table_validation_peaks_under_three_table_sizes():
+    # A cell-by-cell check through Python lists peaks at about 4x the table.
+    table = qg.base_square(1024).table.astype(float)
+    tracemalloc.start()
+    try:
+        square = qg.validate_latin_square(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert square == qg.base_square(1024)
+    assert peak <= 3 * table.nbytes
+    table[0, [0, 1]] = table[0, [1, 0]]
+    with pytest.raises(DuplicateInColumn):
+        qg.validate_latin_square(table)
+
+
+@pytest.mark.parametrize("n, least, message", [
+    (0, 1, "order must be >= 1, got 0"),
+    (1, 2, "order must be >= 2, got 1"),
+    (qg.MAX_ORDER + 1, 1, f"order {qg.MAX_ORDER + 1} exceeds maximum {qg.MAX_ORDER}"),
+])
+def test_check_order_names_the_bound(n, least, message):
+    with pytest.raises(InvalidOrder) as err:
+        latin.check_order(n, least)
+    assert str(err.value) == message
+    latin.check_order(least, least)
+    latin.check_order(qg.MAX_ORDER, least)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qg.validate_latin_square(np.zeros((qg.MAX_ORDER + 1,) * 2, np.uint8)),
+    lambda: qg.base_square(qg.MAX_ORDER + 1),
+], ids=["validate_latin_square", "base_square"])
+def test_tables_above_the_order_cap_are_refused(build):
+    with pytest.raises(InvalidOrder, match=f"exceeds maximum {qg.MAX_ORDER}$"):
+        build()
 
 
 # --- multiplication and division --------------------------------------------------
@@ -256,3 +303,19 @@ def test_format_table_bytes_at_order_256_are_pinned():
         "8c0a274be29cffee19087e0532f117ac63f310d9f7e1b5bd3d597659c3a89b3a",
         "22475139c1a5afe475d6e3636d67e3ee51780060123f2e74e6f8bec9b134000f",
     ]
+
+
+# --- structure -------------------------------------------------------------------------
+
+def test_only_latin_reads_table_storage():
+    # Row and inverse layouts can change in latin.py alone.
+    private = {"_rows", "_inverse", "_padded"}
+    readers = {}
+    for path in Path(latin.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                readers.setdefault(path.name, set()).add(node.attr)
+            if isinstance(node, ast.ImportFrom) and path.name == "codec.py":
+                assert "left_inverse" not in {a.name for a in node.names}
+    assert set(readers) == {"latin.py"}
