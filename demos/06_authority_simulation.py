@@ -30,7 +30,7 @@ frozen = qg.sim_init(profile, node_count=2, master_seed=404, auto_rekey=False)
 qg.issue_frame(frozen)
 frame = frozen.current_frame
 print(f"frame issued: nonce={frame.nonce} "
-      f"(valid strictly before t={frame.issued_at + frame.nonce})")
+      f"(valid strictly before t={frame.expires_at})")
 
 qg.advance(frozen, frame.nonce - 1)
 ok = qg.node_send(frozen, "node1", "node2", "just in time")

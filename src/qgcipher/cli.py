@@ -338,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a container or symbol text")
-    p.add_argument("--frame", metavar="FILE")
-    p.add_argument("--key", metavar="R,S,I...",
-                   help="inline key (text mode only)")
+    keys = p.add_mutually_exclusive_group()
+    keys.add_argument("--frame", metavar="FILE")
+    keys.add_argument("--key", metavar="R,S,I...",
+                      help="inline key (text mode only)")
     p.add_argument("--nonce", type=int, default=0,
                    help="nonce for --key (default 0)")
     p.add_argument("--text", action="store_true",

@@ -12,7 +12,9 @@ A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
 only range check (a tighter limit reads the symbols only when the declared
 order exceeds it).  Streams from outside input are checked when built; the
 text edge and the levels, whose outputs are in range by construction, skip
-the check.  A level's loops are latin.chain and latin.unchain.
+the check.  A level's loops are latin.chain and latin.unchain, and
+keying.key_levels checks that a key fits its frame; encrypt and decrypt
+only walk the levels it returns.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -28,13 +30,12 @@ from .errors import (
     CiphertextSymbolTooLarge,
     ContainerError,
     ForgedCiphertext,
-    KeyMismatch,
     LeaderOutOfRange,
     PlaintextSymbolTooLarge,
     SymbolOutOfRange,
     UnmappableCharacter,
 )
-from .keying import HiddenKey, KeyFrame, level_orders
+from .keying import HiddenKey, KeyFrame, key_levels
 from .latin import LatinSquare, chain, unchain
 # ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
 from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
@@ -161,21 +162,6 @@ def decrypt_level(square: LatinSquare, leader: int,
 
 # --- multi-level indexed encryptor ---------------------------------------------
 
-def _check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey):
-    """Each level's (order, index, multiplier), once the key is checked."""
-    orders = level_orders(profile, frame)
-    if key.level_orders != orders:
-        raise KeyMismatch(f"key level orders {key.level_orders} do not match "
-                          f"frame level orders {orders}")
-    if len(key.multipliers) != len(orders):
-        raise KeyMismatch(f"expected {len(orders)} multipliers, "
-                          f"got {len(key.multipliers)}")
-    for j, (q, n_j) in enumerate(zip(key.multipliers, orders), 1):
-        if not 1 <= q <= n_j:
-            raise KeyMismatch(f"multiplier {q} at level {j} outside 1..{n_j}")
-    return list(zip(orders, frame.indices, key.multipliers))
-
-
 def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
             plaintext: SymbolStream) -> SymbolStream:
     """Run the plaintext through every level of the indexed encryptor.
@@ -184,7 +170,7 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     and the j-th multiplier as leader.  Plaintext symbols must fit the
     first table (1..r); the result has order s.
     """
-    levels = _check_key(profile, frame, key)
+    levels = key_levels(profile, frame, key)
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
@@ -204,7 +190,7 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     leave symbols above r once the order-s levels are undone; the first
     order-r level then raises ForgedCiphertext.
     """
-    levels = _check_key(profile, frame, key)
+    levels = key_levels(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)

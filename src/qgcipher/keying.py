@@ -7,10 +7,11 @@ vector -- is never transmitted; sender and receiver both derive it from the
 frame and the shared profile, so it only has to be derivable identically on
 both ends.
 
-Frame validity has two parts: structural (r in the profile's r_min..r_max,
-r < s <= s_max, index count and ranges, nonce bounds) and temporal (the
-frame expires at issued_at + nonce, exclusive).  Hidden-key derivation
-needs only the structural part; expiry is enforced where frames are accepted.
+This module alone judges frames and keys.  _frame_problem checks structure
+(r in the profile's r_min..r_max, r < s <= s_max, index count and ranges);
+validate_frame adds the profile's nonce window and expiry (a frame is valid
+strictly before KeyFrame.expires_at); key_levels checks that a hidden key
+fits a frame.  Hidden-key derivation needs only the structural part.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
-from .errors import FrameInvalid
+from .errors import FrameInvalid, KeyMismatch
 from .qgdb import NetworkProfile, _read_json_file
 from .seeds import SplitMix64, derive_seed
 
@@ -36,6 +37,11 @@ class KeyFrame:
     indices: tuple
     nonce: int
     issued_at: int = 0
+
+    @property
+    def expires_at(self) -> int:
+        """First instant at which the frame is expired: issued_at + nonce."""
+        return self.issued_at + self.nonce
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,7 @@ def level_orders(profile: NetworkProfile, frame: KeyFrame) -> tuple:
     return (frame.r,) * m + (frame.s,) * (k - m)
 
 
-def _frame_problem(profile: NetworkProfile, frame: KeyFrame,
-                   check_nonce: bool = True) -> Optional[str]:
+def _frame_problem(profile: NetworkProfile, frame: KeyFrame) -> Optional[str]:
     if not profile.r_min <= frame.r <= profile.r_max:
         return f"r {frame.r} outside {profile.r_min}..{profile.r_max}"
     if frame.r >= frame.s:
@@ -82,9 +87,6 @@ def _frame_problem(profile: NetworkProfile, frame: KeyFrame,
     for i, index in enumerate(frame.indices, 1):
         if not 1 <= index <= profile.index_max:
             return f"index {index} at level {i} outside 1..{profile.index_max}"
-    if check_nonce and not profile.nonce_lower < frame.nonce < profile.nonce_upper:
-        return (f"nonce {frame.nonce} outside "
-                f"({profile.nonce_lower}, {profile.nonce_upper})")
     return None
 
 
@@ -116,7 +118,7 @@ def derive_hidden_key(profile: NetworkProfile, frame: KeyFrame) -> HiddenKey:
     """
     # Nonce bounds are a generation/acceptance policy, not a derivation
     # requirement -- the receiver must be able to key any well-formed frame.
-    problem = _frame_problem(profile, frame, check_nonce=False)
+    problem = _frame_problem(profile, frame)
     if problem is not None:
         raise FrameInvalid(problem)
     orders = level_orders(profile, frame)
@@ -130,19 +132,41 @@ def derive_hidden_key(profile: NetworkProfile, frame: KeyFrame) -> HiddenKey:
 
 def validate_frame(profile: NetworkProfile, frame: KeyFrame,
                    now: int) -> FrameVerdict:
-    """Full acceptance check: structure plus freshness.
+    """Full acceptance check: structure, the nonce window, then freshness.
 
-    A frame is valid strictly before issued_at + nonce; at that instant it
+    A frame is valid strictly before frame.expires_at; at that instant it
     is already expired.  Once expired for some `now`, it stays expired for
     every later `now`.
     """
     problem = _frame_problem(profile, frame)
     if problem is not None:
         return FrameVerdict(FrameStatus.INVALID, problem)
-    if now >= frame.issued_at + frame.nonce:
-        return FrameVerdict(FrameStatus.EXPIRED,
-                            f"expired at {frame.issued_at + frame.nonce}")
+    if not profile.nonce_lower < frame.nonce < profile.nonce_upper:
+        return FrameVerdict(FrameStatus.INVALID,
+                            f"nonce {frame.nonce} outside "
+                            f"({profile.nonce_lower}, {profile.nonce_upper})")
+    if now >= frame.expires_at:
+        return FrameVerdict(FrameStatus.EXPIRED, f"expired at {frame.expires_at}")
     return FrameVerdict(FrameStatus.VALID)
+
+
+def key_levels(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey):
+    """Each level's (order, index, multiplier), once the key and the frame's
+    index count are checked to fit the profile's levels."""
+    orders = level_orders(profile, frame)
+    if len(frame.indices) != len(orders):
+        raise KeyMismatch(f"expected {len(orders)} frame indices, "
+                          f"got {len(frame.indices)}")
+    if key.level_orders != orders:
+        raise KeyMismatch(f"key level orders {key.level_orders} do not match "
+                          f"frame level orders {orders}")
+    if len(key.multipliers) != len(orders):
+        raise KeyMismatch(f"expected {len(orders)} multipliers, "
+                          f"got {len(key.multipliers)}")
+    for j, (q, n_j) in enumerate(zip(key.multipliers, orders), 1):
+        if not 1 <= q <= n_j:
+            raise KeyMismatch(f"multiplier {q} at level {j} outside 1..{n_j}")
+    return list(zip(orders, frame.indices, key.multipliers))
 
 
 # --- frame file format -------------------------------------------------------

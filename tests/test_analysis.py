@@ -96,6 +96,11 @@ def test_empty_stream_is_rejected():
         qg.entropy(qg.SymbolStream(4, ()))
 
 
+def test_negative_max_lag_is_rejected():
+    with pytest.raises(ValueError, match="max_lag must be >= 0, got -1"):
+        qg.autocorrelation(qg.SymbolStream(4, (1, 2, 3)), -1)
+
+
 def test_autocorrelation_matches_naive_oracle():
     stream_src = qg.SplitMix64(2718)
     for _ in range(20):

@@ -138,6 +138,10 @@ def test_decrypt_rejects_wrong_profile(workspace, tmp_path, capsys):
     pytest.param(["decrypt", "--profile", "{other}", "--in", "{box}"],
                  "ciphertext was made under a different profile",
                  id="decrypt-other-profile"),
+    pytest.param(["decrypt", "--text", "--profile", "{profile}",
+                  "--key", "35, 41, 5", "--in", "{msg}"],
+                 "inline keys need at least 2 indices",
+                 id="decrypt-inline-key-with-one-index"),
     pytest.param(["analyze"], "analyze needs --case or --in",
                  id="analyze-without-input"),
 ])
@@ -154,6 +158,23 @@ def test_command_failures_print_one_error_line(argv, message, workspace,
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_decrypt_takes_a_frame_or_a_key_not_both(workspace, capsys):
+    tmp, profile, frame = workspace
+    message, cipher = tmp / "msg.txt", tmp / "msg.sym"
+    message.write_text("ATTACK AT DAWN")
+    assert main(["encrypt", "--text", "--profile", str(profile),
+                 "--frame", str(frame), "--in", str(message),
+                 "--out", str(cipher)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["decrypt", "--text", "--profile", str(profile),
+              "--frame", str(frame), "--key", "35, 41, 5, 4, 2, 1, 6, 3",
+              "--in", str(cipher)])
+    assert err.value.code == 2
+    assert ("argument --key: not allowed with argument --frame"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -286,6 +286,17 @@ def test_key_with_a_multiplier_too_few_is_a_mismatch(profile):
         qg.encrypt(profile, frame, short, qg.SymbolStream(frame.r, (1,)))
 
 
+@pytest.mark.parametrize("count", [5, 7], ids=["one-too-few", "one-too-many"])
+@pytest.mark.parametrize("run", [qg.encrypt, qg.decrypt],
+                         ids=["encrypt", "decrypt"])
+def test_frame_with_the_wrong_index_count_is_a_mismatch(profile, run, count):
+    frame, key = _material(profile)
+    odd = dataclasses.replace(frame, indices=(frame.indices * 2)[:count])
+    with pytest.raises(KeyMismatch,
+                       match=f"^expected 6 frame indices, got {count}$"):
+        run(profile, odd, key, qg.SymbolStream(frame.r, (1,)))
+
+
 # --- text mapping -------------------------------------------------------------------------
 
 LETTERS = qg.Alphabet("letters", {"A": 1, "B": 2}, {1: "A", 2: "B"})

@@ -201,6 +201,11 @@ def test_frame_json_rejects_wrong_value_types(profile, key, value):
         qg.frame_from_json(json.dumps(obj))
 
 
+def test_frame_json_must_be_a_json_object():
+    with pytest.raises(FrameInvalid, match="frame file must hold a JSON object"):
+        qg.frame_from_json("[]")
+
+
 def test_frame_json_rejects_unknown_keys(profile):
     import json
     obj = json.loads(qg.frame_to_json(qg.generate_frame(profile, 1), "default"))

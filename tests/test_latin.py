@@ -88,6 +88,12 @@ def test_integral_float_entries_are_accepted():
     assert square.table.tolist() == [[1, 2], [2, 1]]
 
 
+def test_object_dtype_table_is_accepted():
+    square = qg.validate_latin_square(np.array(ORDER4_TABLE, dtype=object))
+    assert square.table.tolist() == ORDER4_TABLE
+    assert square == qg.validate_latin_square(np.array(ORDER4_TABLE))
+
+
 def test_float_table_validation_peaks_under_three_table_sizes():
     # A cell-by-cell check through Python lists peaks at about 4x the table.
     table = qg.base_square(1024).table.astype(float)
@@ -237,6 +243,11 @@ def test_permutation_must_be_bijection():
         qg.Permutation((0, 1, 2))
 
 
+def test_empty_permutation_is_an_invalid_order():
+    with pytest.raises(InvalidOrder, match="size >= 1"):
+        qg.Permutation(())
+
+
 # --- dump format -----------------------------------------------------------------------
 
 def test_format_table(g4):
@@ -319,3 +330,33 @@ def test_only_latin_reads_table_storage():
             if isinstance(node, ast.ImportFrom) and path.name == "codec.py":
                 assert "left_inverse" not in {a.name for a in node.names}
     assert set(readers) == {"latin.py"}
+
+
+def _names(tree):
+    """Every name, attribute and imported name under `tree`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_only_keying_judges_frames():
+    # Frame and key rules can change in keying.py alone.
+    raisers, expiry_sums = set(), set()
+    for path in Path(latin.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and "KeyMismatch" in _names(node):
+                raisers.add(path.name)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and {"issued_at", "nonce"} <= _names(node)):
+                expiry_sums.add(path.name)
+        if path.name == "tasim.py":
+            assert "validate_frame" not in _names(tree)
+    assert raisers == {"keying.py"}
+    assert expiry_sums == {"keying.py"}

@@ -192,6 +192,11 @@ def test_profile_rejects_wrong_value_types(profile, key, value):
         qg.profile_from_json(json.dumps(obj))
 
 
+def test_profile_must_be_a_json_object():
+    with pytest.raises(ProfileInvalid, match="profile file must hold a JSON object"):
+        qg.profile_from_json("[]")
+
+
 def test_profile_rejects_missing_keys(profile):
     import json
     obj = json.loads(qg.profile_to_json(profile))

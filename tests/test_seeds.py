@@ -200,3 +200,11 @@ def test_next_range_is_inclusive():
     stream = qg.SplitMix64(11)
     draws = [stream.next_range(3, 5) for _ in range(500)]
     assert set(draws) == {3, 4, 5}
+
+
+def test_empty_draw_ranges_are_rejected():
+    stream = qg.SplitMix64(11)
+    with pytest.raises(ValueError, match="range size must be positive, got 0"):
+        stream.next_below(0)
+    with pytest.raises(ValueError, match=r"empty range \[5, 4\]"):
+        stream.next_range(5, 4)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import qgcipher as qg
@@ -46,6 +48,23 @@ def test_issue_broadcasts_to_all_nodes(profile):
     frames = {node.frame for node in sim.nodes.values()}
     assert frames == {sim.current_frame}
     assert profile.nonce_lower < sim.current_frame.nonce < profile.nonce_upper
+
+
+@pytest.mark.parametrize("bounds", [
+    {},
+    dict(r_min=2, r_max=2, s_max=3, level_count=2, split=None, index_max=1,
+         nonce_lower=1, nonce_upper=3),
+], ids=["default", "tight"])
+def test_issued_frames_are_valid_at_their_issue_clock(bounds):
+    # issue_frame does not validate what it draws; this keeps that invariant
+    profile = dataclasses.replace(qg.default_profile(), **bounds)
+    sim = qg.sim_init(profile, 2, 3, auto_rekey=False)
+    for step in range(10_000):
+        qg.advance(sim, step % 3)
+        qg.issue_frame(sim)
+        frame = sim.current_frame
+        assert frame.issued_at == sim.clock
+        assert qg.validate_frame(profile, frame, sim.clock).is_valid, frame
 
 
 def test_successive_issues_rotate_the_nonce(profile):
