@@ -128,7 +128,7 @@ def entropy(stream: SymbolStream) -> float:
         raise EmptyStream("cannot take the entropy of an empty stream")
     counts = np.bincount(np.asarray(stream.symbols))
     p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def histogram(stream: SymbolStream) -> dict:

@@ -55,10 +55,10 @@ MAX_SIM_STEPS = 200_000
 
 
 def _inline_key(args, base: qgdb.NetworkProfile):
-    """Frame from --key and --nonce, and the profile adapted to it: level
-    count and split follow the key's index count, and r_min, r_max, s_max
-    and index_max widen to cover its orders and indices."""
-    frame = dataclasses.replace(parse_legacy_key(args.key), nonce=args.nonce)
+    """Frame from an inline --key, with nonce 0, and the profile adapted to
+    it: level count and split follow the key's index count, and r_min,
+    r_max, s_max and index_max widen to cover its orders and indices."""
+    frame = parse_legacy_key(args.key)
     k = len(frame.indices)
     if k < 2:
         raise OrderViolation("inline keys need at least 2 indices")
@@ -178,14 +178,17 @@ def cmd_encrypt(args):
 
 
 def cmd_decrypt(args):
+    if args.text and not (args.frame or args.key):
+        raise QGError("--text decryption needs --frame or --key")
+    if not args.text and (args.frame or args.key):
+        raise QGError("a container carries its own frame; "
+                      "--frame and --key need --text")
     profile, raw = _load_profile(args)
     if args.text:
         if args.key:
             frame, profile = _inline_key(args, profile)
-        elif args.frame:
-            frame = _load_frame(args, profile)
         else:
-            raise QGError("--text decryption needs --frame or --key")
+            frame = _load_frame(args, profile)
         cipher = codec.parse_symbols(_read_text(args.infile), frame.s)
     else:
         box = codec.unpack_container(_read_bytes(args.infile))
@@ -201,22 +204,24 @@ def cmd_decrypt(args):
 
 
 def cmd_analyze(args):
+    if args.case is None and args.infile is None:
+        raise QGError("analyze needs --case or --in")
+    if args.case is not None and args.alphabet:
+        raise QGError(f"--alphabet needs --in; the cases use {codec.LATIN41.id}")
     profile, _ = _load_profile(args)
     if args.frame:
         frame = _load_frame(args, profile)
     else:
-        frame = keying.generate_frame(profile, args.seed)
+        frame = keying.generate_frame(profile, 1 if args.seed is None else args.seed)
     key = keying.derive_hidden_key(profile, frame)
     if args.case is not None:
         report = analysis.run_case(args.case, profile, frame, key,
                                    max_lag=args.max_lag)
-    elif args.infile is not None:
+    else:
         alphabet = codec.get_alphabet(args.alphabet or codec.LATIN41.id)
         report = analysis.analyze_text(_read_text(args.infile), profile, frame,
                                        key, alphabet=alphabet,
                                        max_lag=args.max_lag)
-    else:
-        raise QGError("analyze needs --case or --in")
     out = report.output_autocorrelation
     peak = max(abs(v) for v in out.normalized[1:]) if len(out.normalized) > 1 else 0.0
     print(f"case={report.case_id} n={len(report.input_stream)} "
@@ -288,13 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, profile=True, out=True, infile=False, alphabet=False):
+    def add_common(p, profile=True, infile=False, alphabet=False):
         if profile:
             p.add_argument("--profile", metavar="FILE",
                            help="network profile JSON (default: built-in)")
-        if out:
-            p.add_argument("--out", metavar="FILE",
-                           help="output file (default: stdout)")
+        p.add_argument("--out", metavar="FILE",
+                       help="output file (default: stdout)")
         if infile:
             p.add_argument("--in", dest="infile", metavar="FILE",
                            help="input file (default: stdin)")
@@ -339,24 +343,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decrypt", help="decrypt a container or symbol text")
     keys = p.add_mutually_exclusive_group()
-    keys.add_argument("--frame", metavar="FILE")
+    keys.add_argument("--frame", metavar="FILE", help="key frame (text mode only)")
     keys.add_argument("--key", metavar="R,S,I...",
-                      help="inline key (text mode only)")
-    p.add_argument("--nonce", type=int, default=0,
-                   help="nonce for --key (default 0)")
+                      help="inline key with nonce 0 (text mode only)")
     p.add_argument("--text", action="store_true",
                    help="input is space-separated decimal symbols")
     add_common(p, infile=True, alphabet=True)
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("analyze", help="scrambling report for a case or file")
-    p.add_argument("--case", type=int, choices=sorted(analysis.CASE_INPUTS))
-    p.add_argument("--frame", metavar="FILE")
-    p.add_argument("--seed", type=int, default=1,
-                   help="frame seed when --frame is absent (default 1)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--case", type=int, choices=sorted(analysis.CASE_INPUTS))
+    source.add_argument("--in", dest="infile", metavar="FILE",
+                        help="text file to report on")
+    frames = p.add_mutually_exclusive_group()
+    frames.add_argument("--frame", metavar="FILE")
+    # default None: with default 1, argparse lets `--frame F --seed 1` pass
+    frames.add_argument("--seed", type=int,
+                        help="frame seed when --frame is absent (default 1)")
     p.add_argument("--max-lag", type=_non_negative_int,
                    default=analysis.DEFAULT_MAX_LAG)
-    add_common(p, infile=True, alphabet=True)
+    p.add_argument("--alphabet", choices=sorted(codec.ALPHABETS),
+                   help=f"alphabet of the --in text (default: {codec.LATIN41.id})")
+    add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run the authority/node simulation")
@@ -384,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("legacy-encrypt",
                        help="encrypt with an inline key, symbol-text output")
     p.add_argument("--key", metavar="R,S,I...", required=True)
-    p.add_argument("--nonce", type=int, default=0)
     p.add_argument("--alphabet", choices=sorted(codec.ALPHABETS),
                    default=codec.LATIN41.id)
     add_common(p, infile=True)

@@ -156,6 +156,10 @@ def test_entropy_examples():
     assert qg.entropy(qg.SymbolStream(4, (1, 1, 2, 2, 3, 3, 4, 4))) == 2.0
 
 
+def test_entropy_of_a_constant_stream_is_positive_zero():
+    assert math.copysign(1.0, qg.entropy(qg.SymbolStream(9, (6,) * 12))) == 1.0
+
+
 def test_histogram_counts():
     assert qg.histogram(qg.SymbolStream(3, (1, 1, 2))) == {1: 2, 2: 1, 3: 0}
     assert qg.histogram(qg.SymbolStream(2, ())) == {1: 0, 2: 0}

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -144,6 +146,21 @@ def test_decrypt_rejects_wrong_profile(workspace, tmp_path, capsys):
                  id="decrypt-inline-key-with-one-index"),
     pytest.param(["analyze"], "analyze needs --case or --in",
                  id="analyze-without-input"),
+    pytest.param(["decrypt", "--profile", "{profile}", "--frame", "{frame}",
+                  "--in", "{box}"],
+                 "a container carries its own frame; --frame and --key need --text",
+                 id="decrypt-container-with-frame"),
+    pytest.param(["decrypt", "--profile", "{profile}",
+                  "--key", "35, 41, 5, 4, 2, 1, 6, 3", "--in", "{box}"],
+                 "a container carries its own frame; --frame and --key need --text",
+                 id="decrypt-container-with-key"),
+    pytest.param(["decrypt", "--profile", "{profile}.missing", "--frame", "{frame}",
+                  "--in", "{box}.missing"],
+                 "a container carries its own frame; --frame and --key need --text",
+                 id="decrypt-container-with-frame-checked-before-profile-and-input"),
+    pytest.param(["analyze", "--case", "6", "--alphabet", "latin27"],
+                 "--alphabet needs --in; the cases use latin41",
+                 id="analyze-case-with-alphabet"),
 ])
 def test_command_failures_print_one_error_line(argv, message, workspace,
                                                capsys):
@@ -177,6 +194,72 @@ def test_decrypt_takes_a_frame_or_a_key_not_both(workspace, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["decrypt", "--in", "m.qge", "--nonce", "3"],
+                 "unrecognized arguments: --nonce 3", id="decrypt-nonce"),
+    pytest.param(["decrypt", "--text", "--frame", "f.json", "--nonce", "9",
+                  "--in", "m.sym"],
+                 "unrecognized arguments: --nonce 9", id="decrypt-text-nonce"),
+    pytest.param(["legacy-encrypt", "--key", "35, 41, 5, 4", "--nonce", "3",
+                  "--in", "m.txt"],
+                 "unrecognized arguments: --nonce 3", id="legacy-encrypt-nonce"),
+    pytest.param(["analyze", "--case", "6", "--in", "m.txt"],
+                 "argument --in: not allowed with argument --case",
+                 id="analyze-case-and-in"),
+    pytest.param(["analyze", "--frame", "f.json", "--seed", "9", "--in", "m.txt"],
+                 "argument --seed: not allowed with argument --frame",
+                 id="analyze-frame-and-seed"),
+    pytest.param(["analyze", "--frame", "f.json", "--seed", "1", "--in", "m.txt"],
+                 "argument --seed: not allowed with argument --frame",
+                 id="analyze-frame-and-default-seed"),
+])
+def test_flags_a_command_would_ignore_are_usage_errors(argv, message, capsys):
+    # parsed only: the named files need not exist
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qgcipher {command}")
+
+
+def test_analyze_help_states_its_real_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    out = capsys.readouterr().out
+    assert "latin41" in out
+    assert "stdin" not in out and "profile's" not in out
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["container", "text"])
+def test_decrypt_reads_stdin(text, workspace, monkeypatch, capsys):
+    tmp, profile, frame = workspace
+    message, cipher = tmp / "msg.txt", tmp / "msg.ct"
+    message.write_text("ATTACK AT DAWN")
+    mode = ["--text"] if text else []
+    assert main(["encrypt", "--profile", str(profile), "--frame", str(frame),
+                 "--in", str(message), "--out", str(cipher)] + mode) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(cipher.read_bytes())))
+    keys = ["--frame", str(frame)] if text else []
+    assert main(["decrypt", "--profile", str(profile)] + mode + keys) == 0
+    assert capsys.readouterr().out == "ATTACK AT DAWN"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["encrypt", "--out", "{tmp}/msg.qge"], id="encrypt"),
     pytest.param(["decrypt", "--text"], id="decrypt-text"),
@@ -208,6 +291,11 @@ def test_analyze_case_emits_csv(capsys):
     for line in lines[1:]:
         assert float(line.split(",")[1]) == 0.0
     assert "entropy_out" in captured.err
+
+
+def test_analyze_reports_the_entropy_of_a_constant_input_as_zero(capsys):
+    assert main(["analyze", "--case", "6", "--max-lag", "2"]) == 0
+    assert "entropy_in=0.0000 " in capsys.readouterr().err
 
 
 def test_analyze_case_one_runs(capsys):

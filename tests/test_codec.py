@@ -416,6 +416,11 @@ def test_stream_does_not_follow_its_source_list():
     assert stream == qg.SymbolStream(4, (1, 2, 3))
 
 
+def test_stream_iterates_its_symbols():
+    stream = qg.SymbolStream(4, (3, 1, 4, 1))
+    assert list(stream) == list(stream.symbols) == [3, 1, 4, 1]
+
+
 def test_symbols_beyond_alphabet_are_rejected():
     stream = qg.SymbolStream(41, (30,))
     with pytest.raises(SymbolOutOfRange):

@@ -14,6 +14,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # -W error: pyproject's filterwarnings does not reach the subprocess
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -202,6 +202,11 @@ def test_left_inverse_is_valid_and_involutive(g4):
     assert qg.left_inverse(inv) == g4
 
 
+def test_equal_squares_hash_equal(g4):
+    assert hash(g4) == hash(qg.left_inverse(qg.left_inverse(g4)))
+    assert repr(g4) == "LatinSquare(order=4)"
+
+
 # --- isotopy ----------------------------------------------------------------------------
 
 def test_identity_isotopy(g4):
@@ -241,6 +246,11 @@ def test_permutation_must_be_bijection():
         qg.Permutation((1, 1, 3))
     with pytest.raises(SymbolOutOfRange):
         qg.Permutation((0, 1, 2))
+
+
+def test_permutation_call_returns_the_image():
+    perm = qg.Permutation((2, 3, 1))
+    assert [perm(x) for x in (1, 2, 3)] == [2, 3, 1]
 
 
 def test_empty_permutation_is_an_invalid_order():

@@ -148,6 +148,13 @@ def test_profile_json_round_trip(profile):
         assert qg.profile_from_json(qg.profile_to_json(edge)) == edge
 
 
+def test_profile_file_holds_the_profile_json(profile, tmp_path):
+    path = tmp_path / "net.json"
+    qg.save_profile(profile, path)
+    assert path.read_bytes() == qg.profile_to_json(profile).encode("utf-8")
+    assert qg.load_profile(path) == profile
+
+
 def test_default_profile_bytes_are_pinned():
     # Containers carry a fingerprint of these exact bytes.
     text = qg.profile_to_json(qg.default_profile())
@@ -232,6 +239,11 @@ def test_profile_accepts_exactly_the_defined_alphabets():
         assert qg.get_alphabet(profile.alphabet_id).id == alphabet_id
     with pytest.raises(ProfileInvalid):
         dataclasses.replace(qg.default_profile(), alphabet_id="latin99")
+
+
+def test_unknown_alphabet_names_the_known_ones():
+    with pytest.raises(KeyError, match="latin27.*latin41"):
+        qg.get_alphabet("nope")
 
 
 def test_fingerprint_is_length_sensitive():
