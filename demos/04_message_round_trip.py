@@ -23,7 +23,7 @@ print(f"\nThe stream entered at order r={frame.r} and left at order "
 print(f"max ciphertext symbol: {max(cipher.symbols)} (bound: {frame.s})")
 
 back = qg.decrypt(profile, frame, key, cipher)
-text = qg.symbols_to_text(qg.SymbolStream(27, back.symbols), qg.LATIN27)
+text = qg.symbols_to_text(back, qg.LATIN27)
 print(f"\ndecrypted: {text!r}")
 assert text == message
 

@@ -3,6 +3,8 @@
 Subcommands: profile-new, keygen, encrypt, decrypt, analyze, simulate,
 qg-dump, legacy-encrypt.  All randomness flows through explicit --seed
 flags, so every invocation is deterministic given its flags and inputs.
+The cipher commands code text in the profile's alphabet: a frame or a
+container in its profile's alphabet_id, an inline --key in latin41.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ MAX_SIM_STEPS = 200_000
 
 def _inline_key(args, base: qgdb.NetworkProfile):
     """Frame from an inline --key, with nonce 0, and the profile adapted to
-    it: level count and split follow the key's index count, and r_min,
-    r_max, s_max and index_max widen to cover its orders and indices."""
+    it: level count and split follow the key's index count, r_min, r_max,
+    s_max and index_max widen to cover its orders and indices, and the text
+    alphabet is latin41, which legacy-encrypt names in its header."""
     frame = parse_legacy_key(args.key)
     k = len(frame.indices)
     if k < 2:
@@ -70,6 +73,7 @@ def _inline_key(args, base: qgdb.NetworkProfile):
         level_count=k,
         split=None,
         index_max=max(base.index_max, max(frame.indices)),
+        alphabet_id=codec.LATIN41.id,
     )
     return frame, profile
 
@@ -154,9 +158,11 @@ def cmd_keygen(args):
     return 0
 
 
-def _encrypt_text(args, profile, frame, alphabet):
-    """Derive the frame's hidden key, map the --in text, encrypt it."""
+def _encrypt_text(args, profile, frame):
+    """Derive the frame's hidden key, map the --in text with the profile's
+    alphabet, encrypt it."""
     key = keying.derive_hidden_key(profile, frame)
+    alphabet = codec.get_alphabet(profile.alphabet_id)
     plain = codec.text_to_symbols(_read_text(args.infile), alphabet)
     return codec.encrypt(profile, frame, key, plain)
 
@@ -166,8 +172,7 @@ def cmd_encrypt(args):
         raise QGError("binary output needs --out FILE (or use --text)")
     profile, raw = _load_profile(args)
     frame = _load_frame(args, profile)
-    alphabet = codec.get_alphabet(args.alphabet or profile.alphabet_id)
-    cipher = _encrypt_text(args, profile, frame, alphabet)
+    cipher = _encrypt_text(args, profile, frame)
     if args.text:
         _write_text(args.out, codec.format_symbols(cipher))
     else:
@@ -198,7 +203,7 @@ def cmd_decrypt(args):
         cipher = codec.SymbolStream(order=frame.s, symbols=box.symbols)
     key = keying.derive_hidden_key(profile, frame)
     plain = codec.decrypt(profile, frame, key, cipher)
-    alphabet = codec.get_alphabet(args.alphabet or profile.alphabet_id)
+    alphabet = codec.get_alphabet(profile.alphabet_id)
     _write_text(args.out, codec.symbols_to_text(plain, alphabet))
     return 0
 
@@ -269,15 +274,14 @@ def cmd_qg_dump(args):
 
 def cmd_legacy_encrypt(args):
     frame, profile = _inline_key(args, _load_profile(args)[0])
-    alphabet = codec.get_alphabet(args.alphabet)
-    cipher = _encrypt_text(args, profile, frame, alphabet)
+    cipher = _encrypt_text(args, profile, frame)
     header = (
         "# legacy inline-key mode: tables come from this package's seeded\n"
         "# generator, so this output is implementation-specific and will not\n"
         "# match other tools that accept the same key syntax.\n"
         f"# key r={frame.r} s={frame.s} "
         f"indices={','.join(map(str, frame.indices))} "
-        f"nonce={frame.nonce} alphabet={alphabet.id}\n"
+        f"nonce={frame.nonce} alphabet={profile.alphabet_id}\n"
     )
     _write_text(args.out, header + codec.format_symbols(cipher))
     return 0
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, profile=True, infile=False, alphabet=False):
+    def add_common(p, profile=True, infile=False):
         if profile:
             p.add_argument("--profile", metavar="FILE",
                            help="network profile JSON (default: built-in)")
@@ -302,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         if infile:
             p.add_argument("--in", dest="infile", metavar="FILE",
                            help="input file (default: stdin)")
-        if alphabet:
-            p.add_argument("--alphabet", choices=sorted(codec.ALPHABETS),
-                           help="text alphabet (default: profile's)")
 
     defaults = qgdb.default_profile()
     p = sub.add_parser("profile-new", help="write a network profile file")
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", action="store_true",
                    help="emit space-separated decimal symbols instead of the "
                         "binary container")
-    add_common(p, infile=True, alphabet=True)
+    add_common(p, infile=True)
     p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a container or symbol text")
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="inline key with nonce 0 (text mode only)")
     p.add_argument("--text", action="store_true",
                    help="input is space-separated decimal symbols")
-    add_common(p, infile=True, alphabet=True)
+    add_common(p, infile=True)
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("analyze", help="scrambling report for a case or file")
@@ -393,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("legacy-encrypt",
                        help="encrypt with an inline key, symbol-text output")
     p.add_argument("--key", metavar="R,S,I...", required=True)
-    p.add_argument("--alphabet", choices=sorted(codec.ALPHABETS),
-                   default=codec.LATIN41.id)
     add_common(p, infile=True)
     p.set_defaults(func=cmd_legacy_encrypt)
 

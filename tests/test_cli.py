@@ -212,6 +212,18 @@ def test_decrypt_takes_a_frame_or_a_key_not_both(workspace, capsys):
     pytest.param(["analyze", "--frame", "f.json", "--seed", "1", "--in", "m.txt"],
                  "argument --seed: not allowed with argument --frame",
                  id="analyze-frame-and-default-seed"),
+    # a ciphertext's alphabet is its profile's, which a container records
+    pytest.param(["encrypt", "--frame", "f.json", "--in", "m.txt",
+                  "--out", "m.qge", "--alphabet", "latin41"],
+                 "unrecognized arguments: --alphabet latin41",
+                 id="encrypt-alphabet"),
+    pytest.param(["decrypt", "--in", "m.qge", "--alphabet", "latin41"],
+                 "unrecognized arguments: --alphabet latin41",
+                 id="decrypt-alphabet"),
+    pytest.param(["legacy-encrypt", "--key", "35, 41, 5, 4", "--in", "m.txt",
+                  "--alphabet", "latin41"],
+                 "unrecognized arguments: --alphabet latin41",
+                 id="legacy-encrypt-alphabet"),
 ])
 def test_flags_a_command_would_ignore_are_usage_errors(argv, message, capsys):
     # parsed only: the named files need not exist
@@ -221,11 +233,15 @@ def test_flags_a_command_would_ignore_are_usage_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
-def _subcommands():
+def _subparsers():
     parser = cli.build_parser()
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
-    return sorted(action.choices)
+    return action.choices
+
+
+def _subcommands():
+    return sorted(_subparsers())
 
 
 @pytest.mark.parametrize("command", _subcommands())
@@ -242,6 +258,31 @@ def test_analyze_help_states_its_real_defaults(capsys):
     out = capsys.readouterr().out
     assert "latin41" in out
     assert "stdin" not in out and "profile's" not in out
+
+
+# Every option of every subcommand (52), so that a new flag shows up in review.
+CLI_OPTIONS = {
+    "profile-new": ["--alphabet", "--db-seed", "--id", "--index-max", "--levels",
+                    "--nonce-lower", "--nonce-upper", "--out", "--r-max",
+                    "--r-min", "--s-max", "--split"],
+    "keygen": ["--issued-at", "--out", "--profile", "--seed"],
+    "encrypt": ["--frame", "--in", "--out", "--profile", "--text"],
+    "decrypt": ["--frame", "--in", "--key", "--out", "--profile", "--text"],
+    "analyze": ["--alphabet", "--case", "--frame", "--in", "--max-lag", "--out",
+                "--profile", "--seed"],
+    "simulate": ["--duration", "--margin", "--no-rekey", "--nodes", "--out",
+                 "--profile", "--seed"],
+    "qg-dump": ["--index", "--inverse", "--nonce", "--order", "--out",
+                "--profile"],
+    "legacy-encrypt": ["--in", "--key", "--out", "--profile"],
+}
+
+
+def test_cli_options_are_pinned():
+    options = {name: sorted(opt for a in sub._actions for opt in a.option_strings
+                            if opt not in ("-h", "--help"))
+               for name, sub in _subparsers().items()}
+    assert options == CLI_OPTIONS
 
 
 @pytest.mark.parametrize("text", [False, True], ids=["container", "text"])
@@ -379,7 +420,7 @@ def test_legacy_encrypt_and_decrypt(tmp_path, capsys):
     symbols = tmp_path / "ct.sym"
     symbols.write_text(out)
     assert main(["decrypt", "--text", "--key", "35, 41, 5, 4, 2, 1, 6, 3",
-                 "--in", str(symbols), "--alphabet", "latin41"]) == 0
+                 "--in", str(symbols)]) == 0
     assert capsys.readouterr().out == "K K K K K K K K K K K "
 
 
@@ -391,9 +432,39 @@ def test_legacy_key_outside_default_bounds_round_trips(tmp_path, capsys):
     assert main(["legacy-encrypt", "--key", key, "--in", str(message)]) == 0
     symbols = tmp_path / "ct.sym"
     symbols.write_text(capsys.readouterr().out)
-    assert main(["decrypt", "--text", "--key", key, "--in", str(symbols),
-                 "--alphabet", "latin41"]) == 0
+    assert main(["decrypt", "--text", "--key", key, "--in", str(symbols)]) == 0
     assert capsys.readouterr().out == "HELLO"
+
+
+def test_legacy_round_trip_needs_no_alphabet_flag(tmp_path, capsys):
+    # ',' and '.' code to 29 and 30 in latin41, above latin27's 27 symbols
+    key = "35, 41, 5, 4, 2, 1, 6, 3"
+    message = tmp_path / "msg.txt"
+    message.write_text("HELLO, WORLD.")
+    assert main(["legacy-encrypt", "--key", key, "--in", str(message)]) == 0
+    out = capsys.readouterr().out
+    assert "alphabet=latin41\n" in out
+    symbols = tmp_path / "ct.sym"
+    symbols.write_text(out)
+    assert main(["decrypt", "--text", "--key", key, "--in", str(symbols)]) == 0
+    assert capsys.readouterr().out == "HELLO, WORLD."
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["container", "text"])
+def test_a_latin41_profile_codes_its_own_alphabet(text, tmp_path, capsys):
+    profile, frame = tmp_path / "net41.json", tmp_path / "frame.json"
+    message, cipher = tmp_path / "msg.txt", tmp_path / "msg.ct"
+    message.write_text("HELLO, WORLD.")
+    assert main(["profile-new", "--alphabet", "latin41", "--out", str(profile)]) == 0
+    assert main(["keygen", "--profile", str(profile), "--seed", "7",
+                 "--out", str(frame)]) == 0
+    mode = ["--text"] if text else []
+    assert main(["encrypt", "--profile", str(profile), "--frame", str(frame),
+                 "--in", str(message), "--out", str(cipher)] + mode) == 0
+    keys = ["--frame", str(frame)] if text else []
+    assert main(["decrypt", "--profile", str(profile), "--in", str(cipher)]
+                + mode + keys) == 0
+    assert capsys.readouterr().out == "HELLO, WORLD."
 
 
 def test_legacy_symbols_stay_in_range(tmp_path, capsys):

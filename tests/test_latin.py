@@ -205,6 +205,9 @@ def test_left_inverse_is_valid_and_involutive(g4):
 def test_equal_squares_hash_equal(g4):
     assert hash(g4) == hash(qg.left_inverse(qg.left_inverse(g4)))
     assert repr(g4) == "LatinSquare(order=4)"
+    assert g4 != "x"
+    assert g4.__eq__(4) is NotImplemented
+    assert g4 != qg.base_square(5)
 
 
 # --- isotopy ----------------------------------------------------------------------------
