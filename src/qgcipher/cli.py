@@ -15,7 +15,8 @@ import math
 import sys
 
 from . import __version__, analysis, codec, keying, latin, qgdb, tasim
-from .errors import NotANumber, OrderViolation, QGError, TooFewEntries
+from .errors import (FrameInvalid, NotANumber, OrderViolation, QGError,
+                     TooFewEntries)
 
 
 # --- legacy inline keys --------------------------------------------------------
@@ -40,20 +41,11 @@ def parse_legacy_key(text: str) -> keying.KeyFrame:
     return keying.KeyFrame(r=r, s=s, indices=tuple(entries[2:]), nonce=0)
 
 
-# Longest `simulate --duration`, in units of the profile's nonce upper
-# bound: 200,000 sends under the default profile.
-MAX_SIM_DURATION = 10_000
-
-# Most `simulate --nodes`.  Every node logs an accept at every rekey, so
-# the log grows with nodes times duration, which the other caps leave open:
-# 64 nodes log 166,852 lines at --duration 1000 under the default profile,
-# so a run at MAX_SIM_DURATION stays near 1.7 million.
-MAX_SIM_NODES = 64
-
-# Most sends one `simulate` run may take.  A send comes every T1 // 2 time
-# units, so a profile with a wide nonce window (large T, small T1) needs
-# this bound as well as the duration's.
-MAX_SIM_STEPS = 200_000
+# Most lines one `simulate` run may log.  advance rekeys at most once, so
+# a send logs at most an advance, a rekey, an issue, one accept per node and
+# the send itself; with the init, the first issue and its accepts, a run
+# logs at most nodes + 2 + sends * (nodes + 4) lines, whatever the margin.
+MAX_SIM_LOG_LINES = 2_000_000
 
 
 def _inline_key(args, base: qgdb.NetworkProfile):
@@ -86,17 +78,9 @@ def _non_negative_int(text: str) -> int:
 
 def _sim_duration(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value <= MAX_SIM_DURATION):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number at most {MAX_SIM_DURATION}, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
-
-
-def _sim_nodes(text: str) -> int:
-    if int(text) > MAX_SIM_NODES:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_SIM_NODES}, got {text}")
-    return int(text)
 
 
 # --- small I/O helpers ----------------------------------------------------------
@@ -134,11 +118,16 @@ def _load_profile(args):
 
 
 def _load_frame(args, profile):
-    """Frame from --frame, whose file must name this profile's id."""
+    """Frame from --frame, whose file must name this profile's id.  With no
+    clock, the frame is judged at the instant it was issued, so its nonce
+    must lie in the profile's window; such a frame is not yet expired."""
     frame, profile_id = keying.load_frame(args.frame)
     if profile_id != profile.profile_id:
         raise QGError(f"frame was issued for profile {profile_id!r}, "
                       f"not {profile.profile_id!r}")
+    verdict = keying.validate_frame(profile, frame, frame.issued_at)
+    if not verdict.is_valid:
+        raise FrameInvalid(verdict.reason)
     return frame
 
 
@@ -241,12 +230,17 @@ def cmd_analyze(args):
 
 def cmd_simulate(args):
     profile, _ = _load_profile(args)
-    horizon = int(args.duration * profile.nonce_upper)
     step = max(1, profile.nonce_lower // 2)
-    sends = -(-horizon // step)
-    if sends > MAX_SIM_STEPS:
-        raise QGError(f"simulate would take {sends} sends, more than the "
-                      f"maximum {MAX_SIM_STEPS}; shorten --duration")
+    # a product past the float range is clamped to its end, which is still
+    # a horizon far over the bound, instead of failing in int()
+    span = args.duration * profile.nonce_upper
+    horizon = int(max(-sys.float_info.max, min(span, sys.float_info.max)))
+    sends = max(0, -(-horizon // step))
+    lines = args.nodes + 2 + sends * (args.nodes + 4)
+    if lines > MAX_SIM_LOG_LINES:
+        raise QGError(f"simulate could log {lines} lines, more than the "
+                      f"maximum {MAX_SIM_LOG_LINES}; use fewer --nodes or "
+                      f"a shorter --duration")
     sim = tasim.sim_init(profile, args.nodes, args.seed,
                          rekey_margin=args.margin,
                          auto_rekey=not args.no_rekey)
@@ -370,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run the authority/node simulation")
-    p.add_argument("--nodes", type=_sim_nodes, default=2,
-                   help=f"node count (default 2, at most {MAX_SIM_NODES})")
+    p.add_argument("--nodes", type=int, default=2,
+                   help="node count (default 2)")
     p.add_argument("--duration", type=_sim_duration, default=10.0,
                    help="run length in units of the nonce upper bound "
-                        f"(default 10, at most {MAX_SIM_DURATION})")
-    p.add_argument("--margin", type=int, default=None,
+                        "(default 10)")
+    p.add_argument("--margin", type=_non_negative_int, default=None,
                    help="rekey margin (default: half the nonce lower bound)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--no-rekey", action="store_true")

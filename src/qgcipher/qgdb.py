@@ -152,14 +152,18 @@ class NetworkProfile:
         if entries > MAX_FRAME_ENTRIES:
             raise ProfileInvalid(f"a frame could name {entries} table entries, "
                                  f"more than the maximum {MAX_FRAME_ENTRIES}")
-        if self.index_max < 1:
-            raise ProfileInvalid("index_max must be >= 1")
+        # Indices and nonces are drawn from 64-bit streams and fold into
+        # 64-bit seeds, so both ranges fit 64 bits.
+        if not 1 <= self.index_max <= MASK64:
+            raise ProfileInvalid("index_max must be in 1..2**64 - 1")
         if self.nonce_lower <= 0:
             raise ProfileInvalid("nonce_lower must be positive")
         # The strict nonce interval (nonce_lower, nonce_upper) must contain
         # at least one integer for frame generation to succeed.
         if self.nonce_upper <= self.nonce_lower + 1:
             raise ProfileInvalid("nonce_upper must exceed nonce_lower + 1")
+        if self.nonce_upper > 1 << 64:
+            raise ProfileInvalid("nonce_upper must be at most 2**64")
         if not 0 <= self.db_seed <= MASK64:
             raise ProfileInvalid("db_seed must be an unsigned 64-bit integer")
         if self.alphabet_id not in ALPHABETS:

@@ -75,10 +75,13 @@ class SplitMix64:
 
         Raw draws at or above the largest multiple of n below 2**64 are
         discarded, so every residue is exactly equally likely; this keeps
-        draws bias-free and identical on every platform.
+        draws bias-free and identical on every platform.  n is at most
+        2**64, the number of raw values; above it no draw would be kept.
         """
         if n < 1:
             raise ValueError(f"range size must be positive, got {n}")
+        if n > 1 << 64:
+            raise ValueError(f"range size must be at most 2**64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             z = self.next_raw()

@@ -70,12 +70,16 @@ def sim_init(profile: NetworkProfile, node_count: int, master_seed: int,
     """Fresh simulation: clock 0, no frame, nodes registered.
 
     The default rekey margin is half the minimum nonce, which guarantees a
-    reissue strictly before any valid frame can expire.
+    reissue strictly before any valid frame can expire.  A margin must not
+    be negative: with margin 0, advance still reissues at the expiry
+    instant, before the next send.
     """
     if node_count < 2:
         raise TooFewNodes(f"need at least 2 nodes, got {node_count}")
     if rekey_margin is None:
         rekey_margin = profile.nonce_lower // 2
+    if rekey_margin < 0:
+        raise NegativeTime(f"rekey margin must be >= 0, got {rekey_margin}")
     nodes = {f"node{i}": NodeState(f"node{i}") for i in range(1, node_count + 1)}
     sim = SimState(profile=profile, nodes=nodes, rekey_margin=rekey_margin,
                    auto_rekey=auto_rekey, _stream=SplitMix64(master_seed))

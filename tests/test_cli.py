@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -7,11 +8,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgcipher as qg
 from qgcipher import cli, codec, qgdb
 from qgcipher.cli import main, parse_legacy_key
-from qgcipher.errors import NotANumber, OrderViolation, TooFewEntries
+from qgcipher.errors import NotANumber, OrderViolation, QGError, TooFewEntries
 
 
 # --- legacy key parsing -----------------------------------------------------------
@@ -567,6 +570,7 @@ def test_deeply_nested_profile_is_an_error_not_a_traceback(tmp_path, capsys):
     ["simulate", "--duration", "nan"],
     ["simulate", "--duration", "inf"],
     ["simulate", "--duration", "-inf"],
+    ["simulate", "--duration", "3", "--seed", "1", "--margin", "-60"],
 ])
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -575,19 +579,28 @@ def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_simulate_duration_is_capped(capsys):
-    # parsed only, so that a missing cap fails here instead of running on
-    with pytest.raises(SystemExit) as err:
-        cli.build_parser().parse_args(["simulate", "--duration", "1e300"])
-    assert err.value.code == 2
-    assert f"at most {cli.MAX_SIM_DURATION}" in capsys.readouterr().err
-    args = cli.build_parser().parse_args(
-        ["simulate", "--duration", str(cli.MAX_SIM_DURATION)])
-    assert args.duration == cli.MAX_SIM_DURATION
-    # ... and the default profile runs that long within the send cap
-    default = qgdb.default_profile()
-    step = default.nonce_lower // 2
-    assert cli.MAX_SIM_DURATION * default.nonce_upper / step <= cli.MAX_SIM_STEPS
+@pytest.mark.parametrize("argv, lines", [
+    pytest.param(["--nodes", "64", "--duration", "10000", "--margin", "100000"],
+                 "13600066", id="margin-above-the-nonce-window"),
+    pytest.param(["--nodes", "1000000000", "--duration", "0"], "1000000002",
+                 id="nodes-1e9-duration-0"),
+    pytest.param(["--nodes", "1000000000", "--duration", "-5"], "1000000002",
+                 id="nodes-1e9-duration-negative"),
+    pytest.param(["--duration", "1e300"], "", id="duration-1e300"),
+    # 1e306 times T = 1000 is past the float range
+    pytest.param(["--duration", "1e306"], "", id="duration-past-the-floats"),
+])
+def test_simulate_log_is_capped_before_any_node(argv, lines, monkeypatch,
+                                                capsys):
+    started = []
+    monkeypatch.setattr(cli.tasim, "sim_init",
+                        lambda *args, **kwargs: started.append(args))
+    assert main(["simulate"] + argv) == 1
+    assert started == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: simulate could log {lines}")
+    assert f"maximum {cli.MAX_SIM_LOG_LINES}" in err
+    assert err.count("\n") == 1
 
 
 def test_simulate_send_count_is_capped(tmp_path, monkeypatch, capsys):
@@ -597,7 +610,59 @@ def test_simulate_send_count_is_capped(tmp_path, monkeypatch, capsys):
                  "--nonce-lower", "2", "--out", str(wide)]) == 0
     monkeypatch.setattr(cli.tasim, "sim_init", None)  # must not be reached
     assert main(["simulate", "--profile", str(wide), "--duration", "1"]) == 1
-    assert f"maximum {cli.MAX_SIM_STEPS}" in capsys.readouterr().err
+    assert f"maximum {cli.MAX_SIM_LOG_LINES}" in capsys.readouterr().err
+
+
+def test_simulate_runs_of_four_nodes_and_200000_sends_pass_the_cap(
+        monkeypatch, capsys):
+    # the longest default-profile run the earlier duration and send caps
+    # allowed (logging at most 1,600,006 lines) still reaches sim_init
+    def stop(*args, **kwargs):
+        raise QGError("reached sim_init")
+    monkeypatch.setattr(cli.tasim, "sim_init", stop)
+    assert main(["simulate", "--nodes", "4", "--duration", "10000",
+                 "--margin", "100000"]) == 1
+    assert capsys.readouterr().err == "error: reached sim_init\n"
+
+
+@given(nodes=st.integers(2, 4), duration=st.floats(-0.5, 1.0),
+       margin=st.none() | st.integers(0, 2500), no_rekey=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_simulate_log_stays_within_its_bound(nodes, duration, margin,
+                                             no_rekey, seed):
+    argv = ["simulate", "--nodes", str(nodes), f"--duration={duration!r}",
+            "--seed", str(seed)]
+    argv += [] if margin is None else ["--margin", str(margin)]
+    argv += ["--no-rekey"] if no_rekey else []
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    log = out.getvalue().splitlines()
+    kinds = [line.split("\t")[1] for line in log]
+    sends = kinds.count("delivered") + kinds.count("send-rejected")
+    bound = nodes + 2 + sends * (nodes + 4)
+    assert len(log) <= bound
+    if not no_rekey and (margin or 0) > qg.default_profile().nonce_upper:
+        assert len(log) == bound  # every advance rekeys
+
+
+@pytest.mark.parametrize("nodes, duration", [
+    ("2", "0.04"), ("3", "0.05"), ("4", "0.051"), ("2", "1"), ("5", "-1")])
+def test_simulate_cap_counts_the_lines_a_run_can_log(nodes, duration,
+                                                     monkeypatch, capsys):
+    # A margin above the nonce window rekeys at every advance, so the run
+    # logs its worst case, and the CLI must count exactly that many lines.
+    argv = ["simulate", "--nodes", nodes, f"--duration={duration}",
+            "--margin", "100000"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.count("\n")
+    monkeypatch.setattr(cli, "MAX_SIM_LOG_LINES", lines)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_SIM_LOG_LINES", lines - 1)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: simulate could log {lines} lines")
 
 
 @pytest.mark.parametrize("argv, cap", [
@@ -662,16 +727,57 @@ def test_profile_file_bounds_hold_before_any_frame(key, value, tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_simulate_nodes_are_capped(capsys):
-    # parsed only, so that a missing cap fails here instead of running on
-    with pytest.raises(SystemExit) as err:
-        cli.build_parser().parse_args(
-            ["simulate", "--nodes", str(cli.MAX_SIM_NODES + 1)])
-    assert err.value.code == 2
-    assert f"at most {cli.MAX_SIM_NODES}" in capsys.readouterr().err
-    args = cli.build_parser().parse_args(
-        ["simulate", "--nodes", str(cli.MAX_SIM_NODES)])
-    assert args.nodes == cli.MAX_SIM_NODES
+@pytest.mark.parametrize("command", [
+    ["encrypt", "--text"], ["decrypt", "--text"], ["analyze"]],
+    ids=["encrypt", "decrypt-text", "analyze"])
+def test_frame_file_nonce_must_lie_in_the_profile_window(command, workspace,
+                                                        capsys):
+    # judged at its issue instant, before any input is read
+    tmp, profile, frame = workspace
+    nonce = qg.generate_frame(qg.default_profile(), 7).nonce
+    edited = tmp / "nonce5.json"
+    edited.write_text(frame.read_text().replace(f'"nonce": {nonce}',
+                                                '"nonce": 5'))
+    message = tmp / "msg.txt"
+    message.write_text("ATTACK AT DAWN")
+    assert main(command + ["--profile", str(profile), "--frame", str(edited),
+                           "--in", str(message)]) == 1
+    assert capsys.readouterr().err == "error: nonce 5 outside (100, 1000)\n"
+
+
+@pytest.mark.parametrize("fields", [
+    {"index_max": 2 ** 64}, {"T1": 10 ** 30, "T": 10 ** 31}, {"T": 10 ** 400}],
+    ids=["index-max", "nonce-window", "huge-T"])
+@pytest.mark.parametrize("command", [["keygen", "--seed", "1"],
+                                     ["simulate", "--duration", "1"]])
+def test_profile_ranges_beyond_64_bits_are_errors(fields, command, tmp_path,
+                                                  capsys):
+    obj = json.loads(qg.profile_to_json(qg.default_profile()))
+    obj.update(fields)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    assert main(command + ["--profile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_profile_new_refuses_an_index_max_beyond_64_bits(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    assert main(["profile-new", "--index-max", "46116860184273879040",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: index_max must be in 1..2**64 - 1\n"
+    assert not out.exists()
+
+
+def test_inline_key_index_beyond_64_bits_is_an_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    key = f"35, 41, 5, {2 ** 64}"
+    assert main(["decrypt", "--text", "--key", key, "--in", str(empty)]) == 1
+    assert "index_max must be in 1..2**64 - 1" in capsys.readouterr().err
+    assert main(["decrypt", "--text", "--key", f"35, 41, 5, {2 ** 64 - 1}",
+                 "--in", str(empty)]) == 0
 
 
 def test_version_flag(capsys):

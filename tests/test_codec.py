@@ -170,21 +170,60 @@ def test_constant_input_scrambles(profile):
     assert distinct * 2 >= frame.s
 
 
-def test_prefix_causality(profile):
+@st.composite
+def _keyed_frames(draw):
+    """A profile with 2..16 levels, a frame of it and the frame's key; the
+    frame's orders lie below, at or above 256, and r < 256 < s happens."""
+    levels = draw(st.integers(2, qg.qgdb.MAX_LEVELS))
+    r = draw(st.sampled_from([2, 3, 51, 255, 256, 257]))
+    profile = dataclasses.replace(
+        qg.default_profile(), r_min=r, r_max=r,
+        s_max=draw(st.integers(r + 1, r + 40)), level_count=levels,
+        split=draw(st.integers(1, levels - 1)))
+    frame = qg.generate_frame(profile, draw(st.integers(0, 2 ** 32)))
+    return profile, frame, qg.derive_hidden_key(profile, frame)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_prefix_causality(data):
     # Ciphertext position i depends only on plaintext positions 1..i.
-    frame, key = _material(profile)
-    base = [1] * 40
+    profile, frame, key = data.draw(_keyed_frames())
+    base = data.draw(st.lists(st.integers(1, frame.r), min_size=1, max_size=40))
     reference = qg.encrypt(profile, frame, key,
                            qg.SymbolStream(frame.r, tuple(base))).symbols
-    for i in range(40):
+    for i in range(len(base)):
         changed = list(base)
-        changed[i] = 2
+        changed[i] = base[i] % frame.r + 1
         out = qg.encrypt(profile, frame, key,
                          qg.SymbolStream(frame.r, tuple(changed))).symbols
         assert out[:i] == reference[:i]
         # rows are permutations, so a changed input symbol always moves
         # the output at the same position
         assert out[i] != reference[i]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_changed_ciphertext_symbol_garbles_at_most_k_plus_one(data):
+    # Decryption level j reads only symbols i - 1 and i of its input, so a
+    # change at position j reaches plaintext positions j..j+k, or makes the
+    # ciphertext one that no plaintext encrypts to.
+    profile, frame, key = data.draw(_keyed_frames())
+    plain = data.draw(st.lists(st.integers(1, frame.r), min_size=1, max_size=40))
+    cipher = list(qg.encrypt(profile, frame, key,
+                             qg.SymbolStream(frame.r, tuple(plain))).symbols)
+    j = data.draw(st.integers(0, len(cipher) - 1))
+    cipher[j] = data.draw(st.integers(1, frame.s).filter(
+        lambda sym: sym != cipher[j]))
+    try:
+        out = qg.decrypt(profile, frame, key,
+                         qg.SymbolStream(frame.s, tuple(cipher))).symbols
+    except ForgedCiphertext:
+        return
+    garbled = [i for i, (a, b) in enumerate(zip(out, plain)) if a != b]
+    assert garbled[0] == j
+    assert garbled[-1] <= j + profile.level_count
 
 
 def test_plaintext_symbol_too_large(profile):

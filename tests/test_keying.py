@@ -35,6 +35,15 @@ def test_nonce_respects_open_interval(profile):
         assert qg.generate_frame(tight, seed).nonce == 11
 
 
+def test_frames_draw_to_the_64_bit_ends_of_a_profile(profile):
+    # the widest ranges a profile allows: indices up to 2**64 - 1, nonces
+    # up to 2**64 - 1
+    wide = dataclasses.replace(profile, index_max=2 ** 64 - 1,
+                               nonce_lower=1, nonce_upper=2 ** 64)
+    for seed in range(50):
+        _frame_ok(wide, qg.generate_frame(wide, seed))
+
+
 # --- hidden key ------------------------------------------------------------------
 
 def test_multipliers_stay_inside_their_tables(profile):

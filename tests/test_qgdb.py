@@ -227,6 +227,9 @@ def test_profile_rejects_missing_keys(profile):
     {"s_max": qg.MAX_ORDER + 1},
     {"level_count": qg.qgdb.MAX_LEVELS + 1},
     {"level_count": 10 ** 9},
+    {"index_max": 2 ** 64},
+    {"nonce_upper": 2 ** 64 + 1},
+    {"nonce_lower": 10 ** 30, "nonce_upper": 10 ** 31},
 ])
 def test_profile_invariants(fields):
     with pytest.raises(ProfileInvalid):

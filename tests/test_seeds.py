@@ -202,6 +202,16 @@ def test_next_range_is_inclusive():
     assert set(draws) == {3, 4, 5}
 
 
+def test_draw_ranges_fit_64_bits():
+    # above 2**64 the rejection limit would be 0 and no draw would be kept
+    stream = qg.SplitMix64(11)
+    assert 0 <= stream.next_below(1 << 64) < 1 << 64
+    with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+        stream.next_below((1 << 64) + 1)
+    with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+        stream.next_range(0, 1 << 64)
+
+
 def test_empty_draw_ranges_are_rejected():
     stream = qg.SplitMix64(11)
     with pytest.raises(ValueError, match="range size must be positive, got 0"):

@@ -152,6 +152,25 @@ def test_rekey_happens_before_expiry(profile):
     assert sim.current_frame.issued_at == sim.clock
 
 
+def test_negative_rekey_margin_is_refused(profile):
+    with pytest.raises(NegativeTime, match="rekey margin must be >= 0, got -60"):
+        qg.sim_init(profile, 2, 1, rekey_margin=-60)
+
+
+def test_zero_rekey_margin_reissues_at_the_expiry_instant(profile):
+    # advance rekeys before the send, so no send meets an expired frame
+    sim = qg.sim_init(profile, 2, 1, rekey_margin=0)
+    qg.issue_frame(sim)
+    first = sim.current_frame
+    qg.advance(sim, first.nonce - 1)
+    assert sim.current_frame == first
+    qg.advance(sim, 1)
+    assert sim.current_frame.issued_at == first.expires_at
+    while sim.clock < 3 * profile.nonce_upper:
+        assert qg.node_send(sim, "node1", "node2", "TICK").delivered
+        qg.advance(sim, profile.nonce_lower // 2)
+
+
 def test_delivered_events_use_matching_keys(profile):
     sim = qg.sim_init(profile, 2, 5)
     qg.issue_frame(sim)
