@@ -117,18 +117,25 @@ def _load_profile(args):
     return profile, qgdb.profile_to_json(profile).encode("utf-8")
 
 
-def _load_frame(args, profile):
-    """Frame from --frame, whose file must name this profile's id.  With no
-    clock, the frame is judged at the instant it was issued, so its nonce
-    must lie in the profile's window; such a frame is not yet expired."""
-    frame, profile_id = keying.load_frame(args.frame)
-    if profile_id != profile.profile_id:
-        raise QGError(f"frame was issued for profile {profile_id!r}, "
-                      f"not {profile.profile_id!r}")
+def _judge_frame(profile, frame):
+    """Raise FrameInvalid unless the frame is valid at the instant it was
+    issued.  The CLI has no clock, so this checks the frame's structure and
+    that its nonce lies in the profile's window; such a frame is not yet
+    expired."""
     verdict = keying.validate_frame(profile, frame, frame.issued_at)
     if not verdict.is_valid:
         raise FrameInvalid(verdict.reason)
     return frame
+
+
+def _load_frame(args, profile):
+    """Frame from --frame, whose file must name this profile's id, judged
+    by _judge_frame."""
+    frame, profile_id = keying.load_frame(args.frame)
+    if profile_id != profile.profile_id:
+        raise QGError(f"frame was issued for profile {profile_id!r}, "
+                      f"not {profile.profile_id!r}")
+    return _judge_frame(profile, frame)
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -188,7 +195,7 @@ def cmd_decrypt(args):
         box = codec.unpack_container(_read_bytes(args.infile))
         if box.fingerprint != qgdb.profile_fingerprint(raw):
             raise QGError("ciphertext was made under a different profile")
-        frame = box.frame()
+        frame = _judge_frame(profile, box.frame())
         cipher = codec.SymbolStream(order=frame.s, symbols=box.symbols)
     key = keying.derive_hidden_key(profile, frame)
     plain = codec.decrypt(profile, frame, key, cipher)

@@ -12,9 +12,10 @@ A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
 only range check (a tighter limit reads the symbols only when the declared
 order exceeds it).  Streams from outside input are checked when built; the
 text edge and the levels, whose outputs are in range by construction, skip
-the check.  A level's loops are latin.chain and latin.unchain, and
-keying.key_levels checks that a key fits its frame; encrypt and decrypt
-only walk the levels it returns.
+the check.  The loops are latin.chain_pass and latin.unchain_pass, two
+levels per pass, and keying.key_levels checks that a key fits its frame;
+encrypt and decrypt only walk the levels it returns, over the frame's rows
+from qgdb.frame_rows.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -36,10 +37,10 @@ from .errors import (
     UnmappableCharacter,
 )
 from .keying import HiddenKey, KeyFrame, key_levels
-from .latin import LatinSquare, chain, unchain
+from .latin import FrameRows, LatinSquare, chain, chain_pass, unchain, unchain_pass
 # ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
 from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
-                   NetworkProfile, get_alphabet, get_quasigroup)
+                   NetworkProfile, frame_rows, get_alphabet, get_quasigroup)
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,19 @@ def decrypt_level(square: LatinSquare, leader: int,
 
 # --- multi-level indexed encryptor ---------------------------------------------
 
+def _walk(loop, rows: FrameRows, leaders, symbols) -> list:
+    """Run `symbols` through a frame's rows in walk order, two levels per
+    pass of `loop` (latin.chain_pass or latin.unchain_pass), each level
+    starting from its leader in walk order."""
+    # an identity level after an odd count starts at 0
+    states = [*map(list.__getitem__, rows.starts, leaders), 0]
+    symbols = map(rows.entry.__getitem__, symbols)
+    levels = rows.rows
+    for j in range(0, len(levels), 2):
+        symbols = loop(levels[j], states[j], levels[j + 1], states[j + 1], symbols)
+    return symbols
+
+
 def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
             plaintext: SymbolStream) -> SymbolStream:
     """Run the plaintext through every level of the indexed encryptor.
@@ -170,39 +184,47 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     and the j-th multiplier as leader.  Plaintext symbols must fit the
     first table (1..r); the result has order s.
     """
-    levels = key_levels(profile, frame, key)
+    key_levels(profile, frame, key)
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
-    symbols = plaintext.symbols
-    for order, index, q in levels:
-        symbols = chain(get_quasigroup(profile, order, index, frame.nonce),
-                        q, symbols)
-    return SymbolStream._trusted(frame.s, symbols)
+    rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
+                      frame.nonce)
+    return SymbolStream._trusted(frame.s, _walk(
+        chain_pass, rows, key.multipliers, plaintext.symbols))
 
 
 def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
             ciphertext: SymbolStream) -> SymbolStream:
-    """Exact inverse of encrypt: levels in reverse order, left division via
-    each level's materialized inverse table.  The result has order r.
+    """Exact inverse of encrypt: levels in reverse order, left division in
+    closed form over each table's permutations (latin.unchain_rows), with
+    no table or inverse built.  The result has order r.
 
     A ciphertext in 1..s that no plaintext encrypts to under this key can
     leave symbols above r once the order-s levels are undone; the first
-    order-r level then raises ForgedCiphertext.
+    order-r level then raises ForgedCiphertext.  Such a ciphertext is
+    decrypted again one level at a time over get_quasigroup's tables, to
+    name the position, symbol and level.
     """
     levels = key_levels(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
-    symbols = ciphertext.symbols
-    for level, (order, index, q) in reversed(list(enumerate(levels, 1))):
-        square = get_quasigroup(profile, order, index, frame.nonce)
-        try:
-            symbols = unchain(square, q, symbols)
-        except IndexError:
-            # a symbol above the order, which unchain cannot undo
-            raise ForgedCiphertext(*_first_outside(symbols, order),
-                                   level, order) from None
+    rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
+                      frame.nonce, inverse=True)
+    try:
+        symbols = _walk(unchain_pass, rows, key.multipliers[::-1],
+                        ciphertext.symbols)
+    except IndexError:
+        symbols = ciphertext.symbols
+        for level, (order, index, q) in reversed(list(enumerate(levels, 1))):
+            square = get_quasigroup(profile, order, index, frame.nonce)
+            try:
+                symbols = unchain(square, q, symbols)
+            except IndexError:
+                # a symbol above the order, which unchain cannot undo
+                raise ForgedCiphertext(*_first_outside(symbols, order),
+                                       level, order) from None
     return SymbolStream._trusted(frame.r, symbols)
 
 

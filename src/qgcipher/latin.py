@@ -2,9 +2,13 @@
 
 A quasigroup's multiplication table is a Latin square: every row and every
 column is a permutation of 1..n.  This module checks orders, validates
-tables, multiplies, left-divides, materializes the left-inverse parastrophe
-used for decryption, applies isotopies, and runs one cipher level's chain
-loop each way: it is the only module that reads a table's storage.
+tables, multiplies, left-divides, materializes the left-inverse parastrophe,
+applies isotopies, and owns the cipher's chain loops, one per direction,
+each carrying two levels per pass: it is the only module that reads a
+table's storage.  A single level over a table runs the loop beside an
+identity level.  A frame's levels run on rows sliced from each table's
+isotopy of Z_n (chain_rows, unchain_rows), so encryption and decryption
+build no table and no inverse.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +37,8 @@ from .errors import (
 
 # Largest order of any table.  One number from a profile, frame, container
 # or command line becomes n^2 memory: at 4096 a table and its inverse, with
-# their padded chain rows, take about 270 MB.  Symbols also fit the
-# container's 16 bits.
+# their padded chain rows, take about 270 MB, and so do one level's chain
+# rows in both directions.  Symbols also fit the container's 16 bits.
 MAX_ORDER = 4096
 
 
@@ -68,10 +73,10 @@ class LatinSquare:
         which is what the per-symbol loops of chain and unchain need."""
         n = self.order
         # Up to 256, tolist() already shares CPython's cached small ints, and
-        # it builds about twice as fast as the gather below; cold builds set
-        # simulate's send tail.  Above 256 it would make an int object per
-        # entry, so the rows gather one shared object per symbol instead
-        # (4x smaller at order 1024), a row at a time to bound the transient.
+        # it builds about twice as fast as the gather below.  Above 256 it
+        # would make an int object per entry, so the rows gather one shared
+        # object per symbol instead (4x smaller at order 1024), a row at a
+        # time to bound the transient.
         if n <= 256:
             return self._padded.tolist()
         symbols = np.array(range(n + 1), dtype=object)
@@ -201,24 +206,133 @@ def left_inverse(square: LatinSquare) -> LatinSquare:
     return square._inverse
 
 
+# --- chain loops -------------------------------------------------------------------
+
+# Each pass walks two chained levels at once: symbol i of the second level
+# needs only symbol i of the first, so one loop carries both levels' states.
+# rows1[a] is the first level's row for state a, indexed by that level's
+# input; its entry is the first level's new state, which is also the second
+# level's input.  A level without a partner runs beside _identity_rows.
+
+def chain_pass(rows1: list, a: int, rows2: list, b: int, symbols) -> list:
+    """Two encrypt levels in one pass: out[i] = rows2[b][a], where a and b
+    are each level's previous output, a updated first."""
+    return [(b := rows2[b][(a := rows1[a][x])]) for x in symbols]
+
+
+def unchain_pass(rows1: list, a: int, rows2: list, b: int, symbols) -> list:
+    """Two decrypt levels in one pass: each row is looked up before its
+    level's state moves on to the symbol it just read.  An index past a
+    row's end raises IndexError, which decrypt relies on."""
+    return [rows2[b][(b := rows1[a][(a := x)])] for x in symbols]
+
+
+def _identity_rows(width: int) -> list:
+    """The rows of a level that passes 0..width-1 through unchanged; they
+    all share one list."""
+    return [list(range(width))] * width
+
+
 def chain(square: LatinSquare, leader: int, symbols) -> list:
     """Unchecked: out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
     rows = square._rows
-    out = []
-    prev = leader
-    for sym in symbols:
-        prev = rows[prev][sym]
-        out.append(prev)
-    return out
+    return chain_pass(rows, leader, _identity_rows(len(rows)), 0, symbols)
 
 
 def unchain(square: LatinSquare, leader: int, symbols) -> list:
     """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i], over the left
-    inverse's chain rows, each row looked up before `prev` moves on.  A
-    symbol above the order raises IndexError, which decrypt relies on."""
+    inverse's chain rows.  A symbol above the order raises IndexError."""
     rows = square._inverse._rows
-    prev = leader
-    return [rows[prev][(prev := sym)] for sym in symbols]
+    return unchain_pass(rows, leader, _identity_rows(len(rows)), 0, symbols)
+
+
+# --- chain rows of a frame ----------------------------------------------------------
+
+# A frame's levels never need their tables.  Every indexed table is an
+# isotope of Z_n: with the permutations alpha, beta and gamma as sequences of
+# 1..n, entry (x, y) is gamma[(alpha[x-1] + beta[y-1] - 2) mod n].  Carry
+# each level's state as the coordinate the next level reads, and a row is a
+# window of one doubled length-2n list F: rows[state][c] = F[i + c], with
+# the offset i set by the state's symbol.  So a frame's rows are n slices
+# per level, and no n x n table, inverse or tolist() is built.
+
+# Decrypt's mark for a symbol above the next level's order: an index past
+# the end of any list, so that its next lookup raises IndexError.
+_FORGED = 1 << 62
+
+
+class FrameRows(NamedTuple):
+    """One direction's chain rows for a frame's levels, in walk order.
+
+    entry maps a stream's symbols to the first level's coordinates; rows
+    holds each level's rows, with an identity level after an odd count so
+    that they pair up; starts maps each level's leader to its first state.
+    """
+
+    entry: list
+    rows: list
+    starts: list
+
+
+def _paired(rows: list, width: int) -> list:
+    """rows, with an identity level of the given width after an odd count."""
+    return rows + [_identity_rows(width)] if len(rows) % 2 else rows
+
+
+def chain_rows(isotopies: list) -> FrameRows:
+    """The encrypt rows of levels 1..k, each given as (alpha, beta, gamma).
+
+    Level j's state is E_j[s] = beta_{j+1}[s-1] - 1 for its output s, the
+    column coordinate of level j+1; E_k is the identity, so the last level
+    yields ciphertext symbols.  Then rows_j[E_j[s]] is F_j[alpha_j[s-1]-1:]
+    cut to n_j entries, with F_j = [E_j[g] for g in gamma_j] twice over.
+    """
+    encoders = [[0] + [b - 1 for b in beta] for _, beta, _ in isotopies[1:]]
+    encoders.append(list(range(len(isotopies[-1][0]) + 1)))
+    rows = []
+    for (alpha, _, gamma), code in zip(isotopies, encoders):
+        n = len(alpha)
+        window = [code[g] for g in gamma] * 2
+        level = [None] * len(code)
+        for s, x in enumerate(alpha, 1):
+            level[code[s]] = window[x - 1:x - 1 + n]
+        rows.append(level)
+    entry = [0] + [b - 1 for b in isotopies[0][1]]
+    return FrameRows(entry, _paired(rows, len(encoders[-1])), encoders)
+
+
+def unchain_rows(isotopies: list) -> FrameRows:
+    """The decrypt rows of levels k..1, each given as (alpha, beta, gamma)
+    for levels 1..k.
+
+    Level j's symbols are carried as gamma_j's inverse gi_j, the table's Z_n
+    coordinate.  Left division x \\ z is binv_j[(gi_j[z] - alpha_j[x-1] + 1)
+    mod n_j], binv_j being beta_j's inverse on Z_n, so rows_j[gi_j[x]] is the
+    window F_j[i:i + n_j] at i = (1 - alpha_j[x-1]) mod n_j of F_j, binv_j
+    coded as level j-1's coordinates, twice over.  A symbol above n_{j-1}
+    is coded as _FORGED.  Level 1's F holds the plaintext symbols.
+    """
+    coords = []                 # gi_j: symbol -> coordinate, index 0 unused
+    for _, _, gamma in isotopies:
+        gi = [0] * (len(gamma) + 1)
+        for i, g in enumerate(gamma):
+            gi[g] = i
+        coords.append(gi)
+    rows = []
+    for j in range(len(isotopies) - 1, -1, -1):
+        alpha, beta, gamma = isotopies[j]
+        n = len(alpha)
+        binv = [0] * n
+        for y, b in enumerate(beta, 1):
+            binv[b - 1] = y
+        if j:
+            below, top = coords[j - 1], len(isotopies[j - 1][2])
+            binv = [below[y] if y <= top else _FORGED for y in binv]
+        window = binv * 2
+        rows.append([window[i:i + n]
+                     for i in [(1 - alpha[g - 1]) % n for g in gamma]])
+    return FrameRows(coords[-1], _paired(rows, len(isotopies[0][0]) + 1),
+                     coords[::-1])
 
 
 def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,

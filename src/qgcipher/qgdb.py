@@ -8,6 +8,10 @@ pure function, so every device holding the same profile reconstructs the
 same table -- and because the nonce participates, the table behind a given
 index changes whenever the authority rotates the nonce.
 
+The cipher itself needs only the permutations: frame_rows hands a frame's
+levels to latin, which slices their chain rows from them, so encryption and
+decryption build no table.  get_quasigroup builds the table for the API.
+
 The text alphabets live here too, because the profile names one.
 """
 
@@ -22,7 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
-from .latin import MAX_ORDER, LatinSquare, check_order, table_dtype
+from .latin import (MAX_ORDER, FrameRows, LatinSquare, chain_rows, check_order,
+                    table_dtype, unchain_rows)
 from .seeds import MASK64, derive_seed, permutations_from_seeds
 
 # Default database seed: first 16 hex digits of the fractional part of pi,
@@ -31,13 +36,15 @@ DEFAULT_DB_SEED = 0x243F6A8885A308D3
 
 PROFILE_VERSION = 1
 
-# Most encryption levels a profile may name.  The table cache holds this
-# many tables, so a frame's tables stay cached from one message to the next.
+# Most encryption levels a profile may name.  The permutation and table
+# caches hold this many entries, so a frame's permutations stay cached from
+# one message to the next.
 MAX_LEVELS = 16
 
 # Most table entries one frame may name (split tables of order r_max, the
-# rest of order s_max): a two-level frame at the order cap, about 670 MB at
-# some 20 bytes an entry with its inverse and both chain-row lists.
+# rest of order s_max): a two-level frame at the order cap.  Its chain rows
+# take 8 bytes an entry each way, about 515 MB in both directions, and no
+# table or inverse is built beside them.
 MAX_FRAME_ENTRIES = 2 * MAX_ORDER ** 2
 
 
@@ -288,6 +295,17 @@ def base_square(n: int) -> LatinSquare:
 
 
 @lru_cache(maxsize=MAX_LEVELS)
+def _isotopy(db_seed: int, order: int, index: int, nonce: int) -> tuple:
+    """The permutations (alpha, beta, gamma) of table (order, index, nonce),
+    each a tuple of 1..order.  The last MAX_LEVELS are memoized, one frame's
+    worth at the largest level count, so encrypting and then decrypting
+    under one frame draws them once."""
+    return tuple(map(tuple, permutations_from_seeds(
+        [derive_seed((db_seed, order, index, nonce, tag)) for tag in (1, 2, 3)],
+        order)))
+
+
+@lru_cache(maxsize=MAX_LEVELS)
 def _indexed_square(db_seed: int, order: int, index: int, nonce: int) -> LatinSquare:
     """apply_isotopy(base_square(order), alpha, beta, gamma), built directly.
 
@@ -297,15 +315,19 @@ def _indexed_square(db_seed: int, order: int, index: int, nonce: int) -> LatinSq
     rows are picked by alpha, then its columns by beta straight into the
     padded table, so the only other n x n array is the table-typed row pick.
     """
-    alpha, beta, gamma = permutations_from_seeds(
-        [derive_seed((db_seed, order, index, nonce, tag)) for tag in (1, 2, 3)],
-        order)
+    alpha, beta, gamma = _isotopy(db_seed, order, index, nonce)
     circulant = sliding_window_view(
         np.array(gamma[-2:] + gamma * 2, dtype=table_dtype(order)), order + 1)
     padded = np.zeros((order + 1, order + 1), dtype=circulant.dtype)
     # mode="clip" (no column is out of range) writes unbuffered into padded
-    np.take(circulant[alpha], beta, axis=1, out=padded[1:, 1:], mode="clip")
+    np.take(circulant[alpha, :], beta, axis=1, out=padded[1:, 1:], mode="clip")
     return LatinSquare(padded)
+
+
+def _check_table(profile: NetworkProfile, order: int, index: int) -> None:
+    check_order(order, least=2)
+    if not 1 <= index <= profile.index_max:
+        raise IndexOutOfRange(f"index {index} outside 1..{profile.index_max}")
 
 
 def get_quasigroup(profile: NetworkProfile, order: int, index: int,
@@ -317,7 +339,34 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
     MAX_LEVELS tables are memoized, one frame's worth at the largest level
     count; the cache is safe for concurrent lookups.
     """
-    check_order(order, least=2)
-    if not 1 <= index <= profile.index_max:
-        raise IndexOutOfRange(f"index {index} outside 1..{profile.index_max}")
+    _check_table(profile, order, index)
     return _indexed_square(profile.db_seed, order, index, int(nonce) & MASK64)
+
+
+# One frame's rows per direction: a node encrypts and decrypts under its
+# current frame until the next rekey.
+@lru_cache(maxsize=1)
+def _chain_rows(db_seed: int, tables: tuple, nonce: int) -> FrameRows:
+    return chain_rows([_isotopy(db_seed, order, index, nonce)
+                       for order, index in tables])
+
+
+@lru_cache(maxsize=1)
+def _unchain_rows(db_seed: int, tables: tuple, nonce: int) -> FrameRows:
+    return unchain_rows([_isotopy(db_seed, order, index, nonce)
+                         for order, index in tables])
+
+
+def frame_rows(profile: NetworkProfile, tables: tuple, nonce: int,
+               inverse: bool = False) -> FrameRows:
+    """The chain rows of the levels whose (order, index) pairs `tables`
+    lists, level 1 first: latin.chain_rows, or latin.unchain_rows when
+    `inverse` is set.  Each pair is checked as get_quasigroup checks it, and
+    neither a table nor its inverse is built.  The rows are memoized per
+    direction for the last frame, keyed by the profile's db_seed, the pairs
+    and the nonce.
+    """
+    for order, index in tables:
+        _check_table(profile, order, index)
+    build = _unchain_rows if inverse else _chain_rows
+    return build(profile.db_seed, tables, int(nonce) & MASK64)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -743,6 +744,19 @@ def test_frame_file_nonce_must_lie_in_the_profile_window(command, workspace,
     assert main(command + ["--profile", str(profile), "--frame", str(edited),
                            "--in", str(message)]) == 1
     assert capsys.readouterr().err == "error: nonce 5 outside (100, 1000)\n"
+
+
+def test_container_frame_nonce_must_lie_in_the_profile_window(tmp_path, capsys):
+    # a container's frame is judged as a --frame file's is
+    profile = qg.default_profile()
+    frame = dataclasses.replace(qg.generate_frame(profile, 7), nonce=5)
+    cipher = qg.encrypt(profile, frame, qg.derive_hidden_key(profile, frame),
+                        qg.text_to_symbols("ATTACK AT DAWN"))
+    box = tmp_path / "nonce5.qge"
+    box.write_bytes(qg.pack_container(
+        qg.profile_fingerprint(qg.profile_to_json(profile).encode()), frame, cipher))
+    assert main(["decrypt", "--in", str(box)]) == 1
+    assert capsys.readouterr() == ("", "error: nonce 5 outside (100, 1000)\n")
 
 
 @pytest.mark.parametrize("fields", [

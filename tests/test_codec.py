@@ -171,14 +171,15 @@ def test_constant_input_scrambles(profile):
 
 
 @st.composite
-def _keyed_frames(draw):
+def _keyed_frames(draw, spread=40):
     """A profile with 2..16 levels, a frame of it and the frame's key; the
-    frame's orders lie below, at or above 256, and r < 256 < s happens."""
+    frame's orders lie below, at or above 256, and r < 256 < s happens.
+    s exceeds r by at most `spread`."""
     levels = draw(st.integers(2, qg.qgdb.MAX_LEVELS))
     r = draw(st.sampled_from([2, 3, 51, 255, 256, 257]))
     profile = dataclasses.replace(
         qg.default_profile(), r_min=r, r_max=r,
-        s_max=draw(st.integers(r + 1, r + 40)), level_count=levels,
+        s_max=draw(st.integers(r + 1, r + spread)), level_count=levels,
         split=draw(st.integers(1, levels - 1)))
     frame = qg.generate_frame(profile, draw(st.integers(0, 2 ** 32)))
     return profile, frame, qg.derive_hidden_key(profile, frame)
@@ -224,6 +225,89 @@ def test_one_changed_ciphertext_symbol_garbles_at_most_k_plus_one(data):
     garbled = [i for i, (a, b) in enumerate(zip(out, plain)) if a != b]
     assert garbled[0] == j
     assert garbled[-1] <= j + profile.level_count
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_encrypt_and_decrypt_match_the_level_by_level_walk(data):
+    # The frame's chain rows, two levels per pass, against one level at a
+    # time over get_quasigroup's tables; forged ciphertexts name the same
+    # position, symbol, level and order.
+    profile, frame, key = data.draw(_keyed_frames())
+    levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
+              for order, index, q in zip(key.level_orders, frame.indices,
+                                          key.multipliers)]
+    plain = qg.SymbolStream(frame.r, data.draw(
+        st.lists(st.integers(1, frame.r), max_size=40)))
+    want = plain
+    for square, q in levels:
+        want = qg.encrypt_level(square, q, want)
+    assert qg.encrypt(profile, frame, key, plain).symbols == want.symbols
+    assert qg.decrypt(profile, frame, key, want).symbols == plain.symbols
+
+    cipher = qg.SymbolStream(frame.s, data.draw(
+        st.lists(st.integers(1, frame.s), max_size=40)))
+    want, forged = cipher, None
+    for level, (square, q) in reversed(list(enumerate(levels, 1))):
+        outside = [(pos, sym) for pos, sym in enumerate(want.symbols, 1)
+                   if sym > square.order]
+        if outside:
+            forged = (*outside[0], level, f"exceeds its order {square.order}")
+            break
+        want = qg.decrypt_level(square, q, want)
+    try:
+        got = qg.decrypt(profile, frame, key, cipher)
+    except ForgedCiphertext as exc:
+        assert (exc.position, exc.symbol, exc.level) == forged[:3]
+        assert str(exc).endswith(forged[3])
+    else:
+        assert forged is None and got.symbols == want.symbols
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_valid_encrypt_and_decrypt_build_no_table(data):
+    # The frame's rows come from its permutations alone: no LatinSquare, so
+    # no table, inverse or tolist() rows.  A valid ciphertext that took the
+    # forged-ciphertext replay would build its tables and fail here.
+    profile, frame, key = data.draw(_keyed_frames())
+    plain = qg.SymbolStream(frame.r, data.draw(
+        st.lists(st.integers(1, frame.r), max_size=40)))
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    qg.qgdb._indexed_square.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qg.LatinSquare, "__init__", no_table)
+        cipher = qg.encrypt(profile, frame, key, plain)
+        assert qg.decrypt(profile, frame, key, cipher) == plain
+    assert qg.qgdb._indexed_square.cache_info().currsize == 0
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_decrypt_is_local(data):
+    # Plaintext position p depends only on ciphertext positions p-k..p: two
+    # ciphertexts that both decrypt and agree on i-k..j decrypt to
+    # plaintexts that agree on i..j.  Both are prefixes of encryptions; the
+    # second takes its first i-k symbols from another plaintext's, so its
+    # symbols i-k..i-1 may not decrypt, which s close to r makes rare.
+    profile, frame, key = data.draw(_keyed_frames(spread=2))
+    k = profile.level_count
+    plains = [data.draw(st.lists(st.integers(1, frame.r), min_size=k + 1,
+                                 max_size=k + 40)) for _ in range(2)]
+    ciphers = [qg.encrypt(profile, frame, key,
+                          qg.SymbolStream(frame.r, plain)).symbols
+               for plain in plains]
+    j = data.draw(st.integers(k, min(map(len, ciphers)) - 1))
+    i = data.draw(st.integers(0, j))
+    mixed = ciphers[1][:max(0, i - k)] + ciphers[0][max(0, i - k):j + 1]
+    try:
+        out = qg.decrypt(profile, frame, key, qg.SymbolStream(frame.s, mixed))
+    except ForgedCiphertext:
+        return
+    assert out.symbols[i:] == tuple(plains[0][i:j + 1])
 
 
 def test_plaintext_symbol_too_large(profile):

@@ -100,11 +100,14 @@ def test_derivation_rejects_structural_problems(profile):
 ])
 def test_frame_orders_must_fit_the_profile(profile, orders, reason):
     frame = dataclasses.replace(qg.generate_frame(profile, 7), **orders)
-    qg.qgdb._indexed_square.cache_clear()
+    caches = [qg.qgdb._isotopy, qg.qgdb._chain_rows, qg.qgdb._unchain_rows]
+    for cache in caches:
+        cache.cache_clear()
     with pytest.raises(FrameInvalid, match=reason):
         qg.derive_hidden_key(profile, frame)
     assert qg.validate_frame(profile, frame, now=0).reason == reason
-    assert qg.qgdb._indexed_square.cache_info().currsize == 0  # no table built
+    # no permutation drawn and no chain row built
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
 # --- level orders -------------------------------------------------------------------

@@ -121,17 +121,21 @@ def test_table_bytes_are_pinned(order, profile):
 
 def test_table_cache_holds_one_frame_at_the_level_cap():
     # every level a distinct table: decrypting right after encrypting must
-    # find all of them still cached
+    # find all of its permutations still cached, and each direction's rows
+    # are built once per frame
     k = qg.qgdb.MAX_LEVELS
     profile = qg.NetworkProfile(level_count=k, split=k // 2)
     frame = qg.KeyFrame(r=40, s=50, indices=tuple(range(1, k + 1)), nonce=500)
     key = qg.derive_hidden_key(profile, frame)
     plain = qg.SymbolStream(40, tuple(range(1, 41)))
-    qg.qgdb._indexed_square.cache_clear()
-    cipher = qg.encrypt(profile, frame, key, plain)
-    assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
-    info = qg.qgdb._indexed_square.cache_info()
-    assert (info.misses, info.hits) == (k, k)
+    caches = [qg.qgdb._isotopy, qg.qgdb._chain_rows, qg.qgdb._unchain_rows]
+    for cache in caches:
+        cache.cache_clear()
+    for _ in range(2):
+        cipher = qg.encrypt(profile, frame, key, plain)
+        assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+    assert [(c.cache_info().misses, c.cache_info().hits) for c in caches] == [
+        (k, k), (1, 1), (1, 1)]
 
 
 # --- profile ---------------------------------------------------------------------------
