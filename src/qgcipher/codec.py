@@ -37,10 +37,11 @@ from .errors import (
     UnmappableCharacter,
 )
 from .keying import HiddenKey, KeyFrame, key_levels
-from .latin import FrameRows, LatinSquare, chain, chain_pass, unchain, unchain_pass
+from .latin import (FrameRows, LatinSquare, chain, chain_pass, first_forged,
+                    unchain, unchain_pass)
 # ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
 from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
-                   NetworkProfile, frame_rows, get_alphabet, get_quasigroup)
+                   NetworkProfile, frame_rows, get_alphabet)
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,9 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
 
     A ciphertext in 1..s that no plaintext encrypts to under this key can
     leave symbols above r once the order-s levels are undone; the first
-    order-r level then raises ForgedCiphertext.  Such a ciphertext is
-    decrypted again one level at a time over get_quasigroup's tables, to
-    name the position, symbol and level.
+    order-r level then raises ForgedCiphertext.  The rows mark such a
+    symbol, and latin.first_forged walks them one level at a time to name
+    its position and level.
     """
     levels = key_levels(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
@@ -212,19 +213,12 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
                                        frame.s)
     rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
                       frame.nonce, inverse=True)
+    leaders = key.multipliers[::-1]
     try:
-        symbols = _walk(unchain_pass, rows, key.multipliers[::-1],
-                        ciphertext.symbols)
+        symbols = _walk(unchain_pass, rows, leaders, ciphertext.symbols)
     except IndexError:
-        symbols = ciphertext.symbols
-        for level, (order, index, q) in reversed(list(enumerate(levels, 1))):
-            square = get_quasigroup(profile, order, index, frame.nonce)
-            try:
-                symbols = unchain(square, q, symbols)
-            except IndexError:
-                # a symbol above the order, which unchain cannot undo
-                raise ForgedCiphertext(*_first_outside(symbols, order),
-                                       level, order) from None
+        position, symbol, level = first_forged(rows, leaders, ciphertext.symbols)
+        raise ForgedCiphertext(position, symbol, level, levels[level - 1][0]) from None
     return SymbolStream._trusted(frame.r, symbols)
 
 

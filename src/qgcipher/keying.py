@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import FrameInvalid, KeyMismatch
-from .qgdb import NetworkProfile, _read_json_file
+from .qgdb import NetworkProfile, _conforms, _read_json_file
 from .seeds import SplitMix64, derive_seed
 
 FRAME_VERSION = 1
@@ -85,8 +85,12 @@ def _frame_problem(profile: NetworkProfile, frame: KeyFrame) -> Optional[str]:
         return (f"expected {profile.level_count} indices, "
                 f"got {len(frame.indices)}")
     for i, index in enumerate(frame.indices, 1):
+        if not _conforms(index, int):
+            return f"index {index!r} at level {i} is not an integer"
         if not 1 <= index <= profile.index_max:
             return f"index {index} at level {i} outside 1..{profile.index_max}"
+    if not _conforms(frame.nonce, int):
+        return f"nonce {frame.nonce!r} is not an integer"
     return None
 
 
@@ -164,6 +168,8 @@ def key_levels(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey):
         raise KeyMismatch(f"expected {len(orders)} multipliers, "
                           f"got {len(key.multipliers)}")
     for j, (q, n_j) in enumerate(zip(key.multipliers, orders), 1):
+        if not _conforms(q, int):
+            raise KeyMismatch(f"multiplier {q!r} at level {j} is not an integer")
         if not 1 <= q <= n_j:
             raise KeyMismatch(f"multiplier {q} at level {j} outside 1..{n_j}")
     return list(zip(orders, frame.indices, key.multipliers))

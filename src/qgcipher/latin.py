@@ -5,10 +5,11 @@ column is a permutation of 1..n.  This module checks orders, validates
 tables, multiplies, left-divides, materializes the left-inverse parastrophe,
 applies isotopies, and owns the cipher's chain loops, one per direction,
 each carrying two levels per pass: it is the only module that reads a
-table's storage.  A single level over a table runs the loop beside an
-identity level.  A frame's levels run on rows sliced from each table's
-isotopy of Z_n (chain_rows, unchain_rows), so encryption and decryption
-build no table and no inverse.
+table's storage.  A single level runs the loop beside an identity level,
+over the rows of the padded table (or of its inverse) read in place.  A
+frame's levels run on rows sliced from each table's isotopy of Z_n
+(chain_rows, unchain_rows), so encryption and decryption build no table
+and no inverse, even for a ciphertext that no plaintext encrypts to.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -36,9 +37,9 @@ from .errors import (
 )
 
 # Largest order of any table.  One number from a profile, frame, container
-# or command line becomes n^2 memory: at 4096 a table and its inverse, with
-# their padded chain rows, take about 270 MB, and so do one level's chain
-# rows in both directions.  Symbols also fit the container's 16 bits.
+# or command line becomes n^2 memory: at 4096 a table and its inverse take
+# 64 MB, and one level's chain rows in both directions about 270 MB.
+# Symbols also fit the container's 16 bits.
 MAX_ORDER = 4096
 
 
@@ -65,22 +66,6 @@ class LatinSquare:
     def table(self) -> np.ndarray:
         """The n x n table, entries 1..n: a read-only view of the padded one."""
         return self._padded[1:, 1:]
-
-    @cached_property
-    def _rows(self) -> list:
-        """The padded table as nested lists, so that _rows[a][b] == a * b.
-        Indexing a list with an int is the interpreter's fastest lookup,
-        which is what the per-symbol loops of chain and unchain need."""
-        n = self.order
-        # Up to 256, tolist() already shares CPython's cached small ints, and
-        # it builds about twice as fast as the gather below.  Above 256 it
-        # would make an int object per entry, so the rows gather one shared
-        # object per symbol instead (4x smaller at order 1024), a row at a
-        # time to bound the transient.
-        if n <= 256:
-            return self._padded.tolist()
-        symbols = np.array(range(n + 1), dtype=object)
-        return [symbols[row].tolist() for row in self._padded]
 
     @cached_property
     def _inverse(self) -> "LatinSquare":
@@ -234,15 +219,16 @@ def _identity_rows(width: int) -> list:
 
 
 def chain(square: LatinSquare, leader: int, symbols) -> list:
-    """Unchecked: out[1] = leader * in[1], out[i] = out[i-1] * in[i]."""
-    rows = square._rows
+    """Unchecked: out[1] = leader * in[1], out[i] = out[i-1] * in[i], over
+    the padded table read in place, one memoryview per row."""
+    rows = [memoryview(row) for row in square._padded]
     return chain_pass(rows, leader, _identity_rows(len(rows)), 0, symbols)
 
 
 def unchain(square: LatinSquare, leader: int, symbols) -> list:
     """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i], over the left
-    inverse's chain rows.  A symbol above the order raises IndexError."""
-    rows = square._inverse._rows
+    inverse read as chain does.  A symbol above the order raises IndexError."""
+    rows = [memoryview(row) for row in square._inverse._padded]
     return unchain_pass(rows, leader, _identity_rows(len(rows)), 0, symbols)
 
 
@@ -256,8 +242,9 @@ def unchain(square: LatinSquare, leader: int, symbols) -> list:
 # the offset i set by the state's symbol.  So a frame's rows are n slices
 # per level, and no n x n table, inverse or tolist() is built.
 
-# Decrypt's mark for a symbol above the next level's order: an index past
-# the end of any list, so that its next lookup raises IndexError.
+# Decrypt's mark for a symbol y above the next level's order is _FORGED + y:
+# an index past the end of any row, so that its next lookup raises
+# IndexError, from which first_forged recovers y.
 _FORGED = 1 << 62
 
 
@@ -309,8 +296,8 @@ def unchain_rows(isotopies: list) -> FrameRows:
     coordinate.  Left division x \\ z is binv_j[(gi_j[z] - alpha_j[x-1] + 1)
     mod n_j], binv_j being beta_j's inverse on Z_n, so rows_j[gi_j[x]] is the
     window F_j[i:i + n_j] at i = (1 - alpha_j[x-1]) mod n_j of F_j, binv_j
-    coded as level j-1's coordinates, twice over.  A symbol above n_{j-1}
-    is coded as _FORGED.  Level 1's F holds the plaintext symbols.
+    coded as level j-1's coordinates, twice over.  A symbol y above n_{j-1}
+    is coded as _FORGED + y.  Level 1's F holds the plaintext symbols.
     """
     coords = []                 # gi_j: symbol -> coordinate, index 0 unused
     for _, _, gamma in isotopies:
@@ -327,12 +314,26 @@ def unchain_rows(isotopies: list) -> FrameRows:
             binv[b - 1] = y
         if j:
             below, top = coords[j - 1], len(isotopies[j - 1][2])
-            binv = [below[y] if y <= top else _FORGED for y in binv]
+            binv = [below[y] if y <= top else _FORGED + y for y in binv]
         window = binv * 2
         rows.append([window[i:i + n]
                      for i in [(1 - alpha[g - 1]) % n for g in gamma]])
     return FrameRows(coords[-1], _paired(rows, len(isotopies[0][0]) + 1),
                      coords[::-1])
+
+
+def first_forged(rows: FrameRows, leaders, symbols) -> tuple:
+    """Decrypt's error path over unchain_rows: walk the levels one at a time
+    to the first symbol coded as above the next level's order, and return
+    (position, symbol, level), levels numbered 1..k from the plaintext side."""
+    symbols = [rows.entry[x] for x in symbols]
+    k = len(rows.starts)
+    for w, (rows_w, start, leader) in enumerate(zip(rows.rows, rows.starts, leaders)):
+        a = start[leader]
+        symbols = [rows_w[a][(a := x)] for x in symbols]
+        for position, y in enumerate(symbols, 1):
+            if y >= _FORGED:
+                return position, y - _FORGED, k - 1 - w
 
 
 def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,

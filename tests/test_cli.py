@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgcipher as qg
-from qgcipher import cli, codec, qgdb
+from qgcipher import cli, qgdb
 from qgcipher.cli import main, parse_legacy_key
 from qgcipher.errors import NotANumber, OrderViolation, QGError, TooFewEntries
 
@@ -686,7 +686,6 @@ def test_inline_key_order_is_capped_before_any_table(argv, cap, tmp_path,
     def no_tables(*args):
         raise AssertionError("a table was requested")
     monkeypatch.setattr(qgdb, "get_quasigroup", no_tables)
-    monkeypatch.setattr(codec, "get_quasigroup", no_tables)
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     assert main(argv + ["--in", str(empty)]) == 1

@@ -100,8 +100,8 @@ def test_single_level_matches_oracle_exhaustively(order, profile):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_levels_match_multiply_and_left_divide(data):
-    # Orders on both sides of 256, where the storage switches from uint8 to
-    # uint16 and the padded rows switch to shared int objects.
+    # Orders on both sides of 256, where the storage, and so the rows the
+    # one-level loops read, switches from uint8 to uint16.
     order = data.draw(st.sampled_from([2, 3, 254, 255, 256, 257]))
     square = qg.get_quasigroup(qg.default_profile(), order,
                                data.draw(st.integers(1, 3)), 11)
@@ -286,6 +286,45 @@ def test_valid_encrypt_and_decrypt_build_no_table(data):
 
 
 @given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_forged_ciphertext_builds_no_table(data):
+    # A ciphertext whose order-s levels undo to a symbol above r is named
+    # from the frame's rows alone, with the fields of the level-by-level
+    # walk over get_quasigroup's tables.
+    profile, frame, key = data.draw(_keyed_frames())
+    levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
+              for order, index, q in zip(key.level_orders, frame.indices,
+                                          key.multipliers)]
+    middle = data.draw(st.lists(st.integers(1, frame.s), min_size=1,
+                                max_size=40))
+    middle[data.draw(st.integers(0, len(middle) - 1))] = data.draw(
+        st.integers(frame.r + 1, frame.s))
+    cipher = qg.SymbolStream(frame.s, middle)
+    for square, q in levels[profile.split:]:
+        cipher = qg.encrypt_level(square, q, cipher)
+    want = cipher
+    for level, (square, q) in reversed(list(enumerate(levels, 1))):
+        outside = [(pos, sym) for pos, sym in enumerate(want.symbols, 1)
+                   if sym > square.order]
+        if outside:
+            forged = (*outside[0], level, f"exceeds its order {square.order}")
+            break
+        want = qg.decrypt_level(square, q, want)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    qg.qgdb._indexed_square.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qg.LatinSquare, "__init__", no_table)
+        with pytest.raises(ForgedCiphertext) as err:
+            qg.decrypt(profile, frame, key, cipher)
+    assert (err.value.position, err.value.symbol, err.value.level) == forged[:3]
+    assert str(err.value).endswith(forged[3])
+    assert qg.qgdb._indexed_square.cache_info().currsize == 0
+
+
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_decrypt_is_local(data):
     # Plaintext position p depends only on ciphertext positions p-k..p: two
@@ -407,6 +446,17 @@ def test_key_with_a_multiplier_too_few_is_a_mismatch(profile):
     short = dataclasses.replace(key, multipliers=key.multipliers[:-1])
     with pytest.raises(KeyMismatch, match="^expected 6 multipliers, got 5$"):
         qg.encrypt(profile, frame, short, qg.SymbolStream(frame.r, (1,)))
+
+
+@pytest.mark.parametrize("q", [1.5, "3"], ids=["float", "str"])
+@pytest.mark.parametrize("run", [qg.encrypt, qg.decrypt],
+                         ids=["encrypt", "decrypt"])
+def test_multiplier_that_is_not_an_integer_is_a_mismatch(profile, run, q):
+    frame, key = _material(profile)
+    odd = dataclasses.replace(key, multipliers=(1, q) + key.multipliers[2:])
+    with pytest.raises(KeyMismatch,
+                       match=f"^multiplier {q!r} at level 2 is not an integer$"):
+        run(profile, frame, odd, qg.SymbolStream(frame.r, (1,)))
 
 
 @pytest.mark.parametrize("count", [5, 7], ids=["one-too-few", "one-too-many"])

@@ -110,6 +110,19 @@ def test_frame_orders_must_fit_the_profile(profile, orders, reason):
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("field, reason", [
+    (dict(indices=(1, 1.5, 1, 1, 1, 1)), "index 1.5 at level 2 is not an integer"),
+    (dict(nonce=500.5), "nonce 500.5 is not an integer"),
+], ids=["index", "nonce"])
+def test_frame_field_that_is_not_an_integer_is_invalid(profile, field, reason):
+    # derive_seed would truncate it to an integer and key the frame
+    frame = dataclasses.replace(qg.generate_frame(profile, 7), **field)
+    with pytest.raises(FrameInvalid, match=f"^{reason}$"):
+        qg.derive_hidden_key(profile, frame)
+    verdict = qg.validate_frame(profile, frame, now=0)
+    assert verdict.status is FrameStatus.INVALID and verdict.reason == reason
+
+
 # --- level orders -------------------------------------------------------------------
 
 def test_level_orders_default_split(profile):

@@ -292,30 +292,22 @@ def test_table_dtype_is_the_smallest_that_fits(order, dtype):
     assert int(square.table.max()) == order
 
 
-@pytest.mark.parametrize("order", [255, 256, 257, 1024])
-def test_chain_rows_share_one_int_per_symbol(order):
-    # Above 256, CPython's tolist() makes a new int per entry; the padded
-    # chain rows must not, or they take about 4x the memory.
-    square = qg.get_quasigroup(qg.default_profile(), order, 1, 5)
-    rows = square._rows
-    assert rows[0] == [0] * (order + 1)
-    assert [row[0] for row in rows] == [0] * (order + 1)
-    assert rows[1][1:] == square.table.tolist()[0]
-    assert len({id(v) for row in rows for v in row}) == order + 1
-
-
-def test_chain_rows_above_256_peak_near_what_they_keep():
-    # Gathering the whole (n+1)^2 object array first would peak at twice
-    # the rows' own size.
-    square = qg.base_square(1024)
+def test_one_level_reads_the_table_in_place():
+    # At order 4096 the padded table is 33 MB, and nested-list rows of it
+    # or of its inverse took about 135 MB each; encrypt_level and
+    # decrypt_level read both arrays where they lie.
+    square = qg.base_square(4096)
+    qg.left_inverse(square)
+    stream = qg.SymbolStream(4096, (1, 4096, 2048, 7, 7))
     tracemalloc.start()
     try:
-        rows = square._rows
-        kept, peak = tracemalloc.get_traced_memory()
+        cipher = qg.encrypt_level(square, 5, stream)
+        plain = qg.decrypt_level(square, 5, cipher)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 1025
-    assert peak <= 1.25 * kept
+    assert plain == stream
+    assert peak < 4 * 2**20
 
 
 def test_format_table_bytes_at_order_256_are_pinned():
