@@ -15,7 +15,9 @@ text edge and the levels, whose outputs are in range by construction, skip
 the check.  The loops are latin.chain_pass and latin.unchain_pass, two
 levels per pass, and keying.key_levels checks that a key fits its frame;
 encrypt and decrypt only walk the levels it returns, over the frame's rows
-from qgdb.frame_rows.
+from qgdb.frame_rows.  Those rows are sliced on first use: the loops stay
+free of any check, and the IndexError of an unsliced row sends _walk to
+slice what the message reaches and run them again.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .keying import HiddenKey, KeyFrame, key_levels
 from .latin import (FrameRows, LatinSquare, chain, chain_pass, first_forged,
-                    unchain, unchain_pass)
+                    slice_rows, unchain, unchain_pass)
 # ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
 from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
                    NetworkProfile, frame_rows, get_alphabet)
@@ -164,7 +166,7 @@ def decrypt_level(square: LatinSquare, leader: int,
 
 # --- multi-level indexed encryptor ---------------------------------------------
 
-def _walk(loop, rows: FrameRows, leaders, symbols) -> list:
+def _passes(loop, rows: FrameRows, leaders, symbols) -> list:
     """Run `symbols` through a frame's rows in walk order, two levels per
     pass of `loop` (latin.chain_pass or latin.unchain_pass), each level
     starting from its leader in walk order."""
@@ -175,6 +177,22 @@ def _walk(loop, rows: FrameRows, leaders, symbols) -> list:
     for j in range(0, len(levels), 2):
         symbols = loop(levels[j], states[j], levels[j + 1], states[j + 1], symbols)
     return symbols
+
+
+def _walk(loop, rows: FrameRows, leaders, symbols) -> list:
+    """_passes, with rows sliced on first use.  An unsliced row's IndexError
+    slices the rows that `symbols` reach and the passes run again: every row,
+    when `symbols` is at least as long as every level's row count, else the
+    rows latin.first_forged meets.  An IndexError after that is a forged
+    ciphertext's."""
+    try:
+        return _passes(loop, rows, leaders, symbols)
+    except IndexError:
+        if len(symbols) >= max(map(len, rows.rows)):
+            slice_rows(rows)
+        else:
+            first_forged(rows, leaders, symbols)
+    return _passes(loop, rows, leaders, symbols)
 
 
 def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
@@ -204,8 +222,8 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     A ciphertext in 1..s that no plaintext encrypts to under this key can
     leave symbols above r once the order-s levels are undone; the first
     order-r level then raises ForgedCiphertext.  The rows mark such a
-    symbol, and latin.first_forged walks them one level at a time to name
-    its position and level.
+    symbol, and latin.first_forged walks them one level at a time, slicing
+    any row still unsliced, to name its position and level.
     """
     levels = key_levels(profile, frame, key)
     if _exceeds(ciphertext, frame.s):

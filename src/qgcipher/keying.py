@@ -8,10 +8,11 @@ frame and the shared profile, so it only has to be derivable identically on
 both ends.
 
 This module alone judges frames and keys.  _frame_problem checks structure
-(r in the profile's r_min..r_max, r < s <= s_max, index count and ranges);
-validate_frame adds the profile's nonce window and expiry (a frame is valid
-strictly before KeyFrame.expires_at); key_levels checks that a hidden key
-fits a frame.  Hidden-key derivation needs only the structural part.
+(integer fields, r in the profile's r_min..r_max, r < s <= s_max, index
+count and ranges); validate_frame adds the profile's nonce window and expiry
+(a frame is valid strictly before KeyFrame.expires_at); key_levels checks
+that a hidden key fits a frame.  Hidden-key derivation needs only the
+structural part.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ def level_orders(profile: NetworkProfile, frame: KeyFrame) -> tuple:
 
 
 def _frame_problem(profile: NetworkProfile, frame: KeyFrame) -> Optional[str]:
+    for name in ("r", "s", "issued_at"):
+        value = getattr(frame, name)
+        if not _conforms(value, int):
+            return f"{name} {value!r} is not an integer"
     if not profile.r_min <= frame.r <= profile.r_max:
         return f"r {frame.r} outside {profile.r_min}..{profile.r_max}"
     if frame.r >= frame.s:

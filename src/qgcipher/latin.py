@@ -9,7 +9,9 @@ table's storage.  A single level runs the loop beside an identity level,
 over the rows of the padded table (or of its inverse) read in place.  A
 frame's levels run on rows sliced from each table's isotopy of Z_n
 (chain_rows, unchain_rows), so encryption and decryption build no table
-and no inverse, even for a ciphertext that no plaintext encrypts to.
+and no inverse, even for a ciphertext that no plaintext encrypts to.  A
+row is sliced when a message first reaches it (first_forged, slice_rows),
+so a fresh frame costs O(n) a level plus the rows its messages use.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -38,8 +40,8 @@ from .errors import (
 
 # Largest order of any table.  One number from a profile, frame, container
 # or command line becomes n^2 memory: at 4096 a table and its inverse take
-# 64 MB, and one level's chain rows in both directions about 270 MB.
-# Symbols also fit the container's 16 bits.
+# 64 MB, and one level's chain rows in both directions, once its inputs
+# reach every row, about 270 MB.  Symbols also fit the container's 16 bits.
 MAX_ORDER = 4096
 
 
@@ -239,13 +241,19 @@ def unchain(square: LatinSquare, leader: int, symbols) -> list:
 # 1..n, entry (x, y) is gamma[(alpha[x-1] + beta[y-1] - 2) mod n].  Carry
 # each level's state as the coordinate the next level reads, and a row is a
 # window of one doubled length-2n list F: rows[state][c] = F[i + c], with
-# the offset i set by the state's symbol.  So a frame's rows are n slices
-# per level, and no n x n table, inverse or tolist() is built.
+# the offset i set by the state's symbol.  So a level is F and n offsets,
+# and no n x n table, inverse or tolist() is built.
+#
+# Rows are sliced on first use.  Every row starts as _UNSLICED, whose
+# lookup raises the IndexError that the passes let through; first_forged
+# slices the rows a level-at-a-time walk reaches, and slice_rows every row.
 
 # Decrypt's mark for a symbol y above the next level's order is _FORGED + y:
 # an index past the end of any row, so that its next lookup raises
 # IndexError, from which first_forged recovers y.
 _FORGED = 1 << 62
+
+_UNSLICED = ()
 
 
 class FrameRows(NamedTuple):
@@ -254,11 +262,18 @@ class FrameRows(NamedTuple):
     entry maps a stream's symbols to the first level's coordinates; rows
     holds each level's rows, with an identity level after an odd count so
     that they pair up; starts maps each level's leader to its first state.
+    Level w's row for state a is windows[w][i:i + n] at i = offsets[w][a],
+    n being half the window; until first used, rows[w][a] is _UNSLICED.
+    inverse is set for decrypt rows, whose state is the symbol just read
+    rather than the symbol just written.
     """
 
     entry: list
     rows: list
     starts: list
+    windows: list
+    offsets: list
+    inverse: bool
 
 
 def _paired(rows: list, width: int) -> list:
@@ -276,16 +291,17 @@ def chain_rows(isotopies: list) -> FrameRows:
     """
     encoders = [[0] + [b - 1 for b in beta] for _, beta, _ in isotopies[1:]]
     encoders.append(list(range(len(isotopies[-1][0]) + 1)))
-    rows = []
+    windows, offsets = [], []
     for (alpha, _, gamma), code in zip(isotopies, encoders):
-        n = len(alpha)
-        window = [code[g] for g in gamma] * 2
-        level = [None] * len(code)
+        windows.append([code[g] for g in gamma] * 2)
+        level = [None] * len(code)         # unused states keep None
         for s, x in enumerate(alpha, 1):
-            level[code[s]] = window[x - 1:x - 1 + n]
-        rows.append(level)
+            level[code[s]] = x - 1
+        offsets.append(level)
+    rows = [[_UNSLICED] * len(code) for code in encoders]
     entry = [0] + [b - 1 for b in isotopies[0][1]]
-    return FrameRows(entry, _paired(rows, len(encoders[-1])), encoders)
+    return FrameRows(entry, _paired(rows, len(encoders[-1])), encoders,
+                     windows, offsets, False)
 
 
 def unchain_rows(isotopies: list) -> FrameRows:
@@ -305,7 +321,7 @@ def unchain_rows(isotopies: list) -> FrameRows:
         for i, g in enumerate(gamma):
             gi[g] = i
         coords.append(gi)
-    rows = []
+    windows, offsets = [], []
     for j in range(len(isotopies) - 1, -1, -1):
         alpha, beta, gamma = isotopies[j]
         n = len(alpha)
@@ -315,25 +331,54 @@ def unchain_rows(isotopies: list) -> FrameRows:
         if j:
             below, top = coords[j - 1], len(isotopies[j - 1][2])
             binv = [below[y] if y <= top else _FORGED + y for y in binv]
-        window = binv * 2
-        rows.append([window[i:i + n]
-                     for i in [(1 - alpha[g - 1]) % n for g in gamma]])
+        windows.append(binv * 2)
+        offsets.append([(1 - alpha[g - 1]) % n for g in gamma])
+    rows = [[_UNSLICED] * len(level) for level in offsets]
     return FrameRows(coords[-1], _paired(rows, len(isotopies[0][0]) + 1),
-                     coords[::-1])
+                     coords[::-1], windows, offsets, True)
 
 
-def first_forged(rows: FrameRows, leaders, symbols) -> tuple:
-    """Decrypt's error path over unchain_rows: walk the levels one at a time
-    to the first symbol coded as above the next level's order, and return
-    (position, symbol, level), levels numbered 1..k from the plaintext side."""
+def _slice_level(rows: FrameRows, w: int) -> None:
+    """Slice every unsliced row of level w (in walk order) that a state can
+    reach."""
+    level, window, n = rows.rows[w], rows.windows[w], len(rows.windows[w]) // 2
+    for a, i in enumerate(rows.offsets[w]):
+        if i is not None and level[a] is _UNSLICED:
+            level[a] = window[i:i + n]
+
+
+def slice_rows(rows: FrameRows) -> None:
+    """Slice every row of every level that a state can reach."""
+    for w in range(len(rows.windows)):
+        _slice_level(rows, w)
+
+
+def first_forged(rows: FrameRows, leaders, symbols):
+    """Walk `symbols` through the rows one level at a time, slicing each
+    unsliced row it meets, to the first symbol coded as above the next
+    level's order.  Return it as (position, symbol, level), levels numbered
+    1..k from the plaintext side, or None if no level yields one.  A level
+    with no more rows than there are symbols is sliced whole first: the
+    walk reaches most of its rows anyway."""
     symbols = [rows.entry[x] for x in symbols]
     k = len(rows.starts)
-    for w, (rows_w, start, leader) in enumerate(zip(rows.rows, rows.starts, leaders)):
-        a = start[leader]
-        symbols = [rows_w[a][(a := x)] for x in symbols]
-        for position, y in enumerate(symbols, 1):
+    for w, (level, start, leader) in enumerate(zip(rows.rows, rows.starts, leaders)):
+        if len(symbols) >= len(level):
+            _slice_level(rows, w)
+        window, offsets = rows.windows[w], rows.offsets[w]
+        n = len(window) // 2
+        a, out = start[leader], []
+        for position, x in enumerate(symbols, 1):
+            row = level[a]
+            if row is _UNSLICED:
+                row = level[a] = window[offsets[a]:offsets[a] + n]
+            y = row[x]
             if y >= _FORGED:
                 return position, y - _FORGED, k - 1 - w
+            out.append(y)
+            a = x if rows.inverse else y
+        symbols = out
+    return None
 
 
 def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,

@@ -43,6 +43,7 @@ MAX_LEVELS = 16
 
 # Most table entries one frame may name (split tables of order r_max, the
 # rest of order s_max): a two-level frame at the order cap.  Its chain rows
+# are sliced as messages reach them; once they reach every row, the rows
 # take 8 bytes an entry each way, about 515 MB in both directions, and no
 # table or inverse is built beside them.
 MAX_FRAME_ENTRIES = 2 * MAX_ORDER ** 2
@@ -364,7 +365,8 @@ def frame_rows(profile: NetworkProfile, tables: tuple, nonce: int,
     `inverse` is set.  Each pair is checked as get_quasigroup checks it, and
     neither a table nor its inverse is built.  The rows are memoized per
     direction for the last frame, keyed by the profile's db_seed, the pairs
-    and the nonce.
+    and the nonce, and each row is sliced in place when a message first
+    reaches it.
     """
     for order, index in tables:
         _check_table(profile, order, index)

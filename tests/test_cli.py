@@ -394,7 +394,8 @@ def test_simulate_is_deterministic(capsys):
 
 
 def test_simulate_log_bytes_are_pinned(capsys):
-    # about 100 frames, each rekey building six fresh tables end to end
+    # about 100 frames, each rekey drawing six levels' permutations and
+    # slicing the rows its sends reach, end to end
     argv = ["simulate", "--nodes", "4", "--duration", "50", "--seed", "5"]
     assert main(argv) == 0
     out = capsys.readouterr().out

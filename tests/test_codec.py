@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -268,8 +272,9 @@ def test_encrypt_and_decrypt_match_the_level_by_level_walk(data):
 @settings(max_examples=30, deadline=None)
 def test_valid_encrypt_and_decrypt_build_no_table(data):
     # The frame's rows come from its permutations alone: no LatinSquare, so
-    # no table, inverse or tolist() rows.  A valid ciphertext that took the
-    # forged-ciphertext replay would build its tables and fail here.
+    # no table, inverse or tolist() rows.  A mis-coded row would send a
+    # valid ciphertext down the forged-ciphertext path, so this also checks
+    # that decrypt gives back the plaintext.
     profile, frame, key = data.draw(_keyed_frames())
     plain = qg.SymbolStream(frame.r, data.draw(
         st.lists(st.integers(1, frame.r), max_size=40)))
@@ -347,6 +352,153 @@ def test_decrypt_is_local(data):
     except ForgedCiphertext:
         return
     assert out.symbols[i:] == tuple(plains[0][i:j + 1])
+
+
+# --- rows sliced on first use --------------------------------------------------------
+
+def _clear_frame_caches():
+    for cache in (qg.qgdb._isotopy, qg.qgdb._chain_rows, qg.qgdb._unchain_rows):
+        cache.cache_clear()
+
+
+def _sliced(profile, frame, key, inverse):
+    """How many rows of each level of the frame's memoized rows are sliced."""
+    rows = qg.qgdb.frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
+                              frame.nonce, inverse=inverse)
+    return [sum(row != () for row in level)
+            for level in rows.rows[:len(rows.starts)]]
+
+
+def _levels_undone(levels, cipher):
+    """decrypt_level over each table, last level first: (plaintext, None),
+    or (None, the forged symbol's (position, symbol, level, order))."""
+    for level, (square, q) in reversed(list(enumerate(levels, 1))):
+        outside = [(pos, sym) for pos, sym in enumerate(cipher.symbols, 1)
+                   if sym > square.order]
+        if outside:
+            return None, (*outside[0], level, square.order)
+        cipher = qg.decrypt_level(square, q, cipher)
+    return cipher, None
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
+    # One frame's messages in turn, each meeting the rows that the ones
+    # before it left unsliced, with lengths on both sides of the row counts
+    # where a level is sliced whole.  A message shorter than r slices at
+    # most one row per symbol in each level, a forged one included.
+    profile, frame, key = data.draw(_keyed_frames())
+    levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
+              for order, index, q in zip(key.level_orders, frame.indices,
+                                          key.multipliers)]
+    near = sorted({max(1, n + d) for n in (frame.r, frame.s) for d in (-1, 0, 1, 2)})
+    lengths = st.one_of(st.integers(1, 12), st.sampled_from(near))
+    _clear_frame_caches()
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["plain", "cipher", "forged"]))
+        length = data.draw(lengths)
+        before = [_sliced(profile, frame, key, inverse) for inverse in (False, True)]
+        if kind == "plain":
+            plain = qg.SymbolStream(frame.r, data.draw(
+                st.lists(st.integers(1, frame.r), min_size=length, max_size=length)))
+            want = plain
+            for square, q in levels:
+                want = qg.encrypt_level(square, q, want)
+            cipher = qg.encrypt(profile, frame, key, plain)
+            assert cipher.symbols == want.symbols
+            assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+        else:
+            middle = data.draw(st.lists(st.integers(1, frame.s), min_size=length,
+                                        max_size=length))
+            if kind == "forged":
+                middle[data.draw(st.integers(0, length - 1))] = data.draw(
+                    st.integers(frame.r + 1, frame.s))
+            cipher = qg.SymbolStream(frame.s, middle)
+            if kind == "forged":
+                for square, q in levels[profile.split:]:
+                    cipher = qg.encrypt_level(square, q, cipher)
+            want, forged = _levels_undone(levels, cipher)
+            assert (kind == "forged") <= (forged is not None)
+            try:
+                got = qg.decrypt(profile, frame, key, cipher)
+            except ForgedCiphertext as exc:
+                assert (exc.position, exc.symbol, exc.level) == forged[:3]
+                assert str(exc).endswith(f"exceeds its order {forged[3]}")
+            else:
+                assert forged is None and got.symbols == want.symbols
+        if length < frame.r:
+            after = [_sliced(profile, frame, key, inverse) for inverse in (False, True)]
+            for old, new in zip(sum(before, []), sum(after, [])):
+                assert new - old <= length
+
+
+def test_a_cold_short_message_slices_few_rows(profile):
+    # The seed-7 frame (r = 51, s = 171) has 52 to 172 rows a level; a
+    # round trip of 9 symbols reaches at most 9 of them in each.
+    frame, key = _material(profile)
+    plain = qg.text_to_symbols("STATUS OK")
+    _clear_frame_caches()
+    cipher = qg.encrypt(profile, frame, key, plain)
+    assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+    for inverse in (False, True):
+        assert max(_sliced(profile, frame, key, inverse)) <= 10
+
+
+def test_a_cold_frame_at_the_order_cap_holds_only_the_rows_it_reaches():
+    # Every row of a two-level frame at orders 4095/4096, in both
+    # directions, takes about 515 MB; a 9-symbol round trip slices 9 rows
+    # a level.
+    profile = dataclasses.replace(qg.default_profile(), r_min=4095, r_max=4095,
+                                  s_max=4096, level_count=2, split=1)
+    frame, key = _material(profile)
+    plain = qg.text_to_symbols("STATUS OK")
+    _clear_frame_caches()
+    tracemalloc.start()
+    try:
+        cipher = qg.encrypt(profile, frame, key, plain)
+        back = qg.decrypt(profile, frame, key, cipher)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.symbols == plain.symbols
+    assert peak < 8 * 2**20
+
+
+def test_threads_slicing_one_cold_frame_agree(profile):
+    # Every thread reads and slices the same memoized rows in place; a row
+    # sliced by two threads at once is sliced the same, so each round trip
+    # still matches the level-by-level walk.  Lengths lie below, between
+    # and above the seed-7 frame's row counts (51 to 172).
+    frame, key = _material(profile)
+    levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
+              for order, index, q in zip(key.level_orders, frame.indices,
+                                          key.multipliers)]
+    rng = random.Random(5)
+    messages = [qg.SymbolStream(frame.r, [rng.randint(1, frame.r) for _ in range(n)])
+                for n in (9, 9, 30, 60, 100, 200)]
+    wants = []
+    for plain in messages:
+        want = plain
+        for square, q in levels:
+            want = qg.encrypt_level(square, q, want)
+        wants.append(want.symbols)
+
+    def round_trip(i):
+        cipher = qg.encrypt(profile, frame, key, messages[i])
+        return cipher.symbols, qg.decrypt(profile, frame, key, cipher).symbols
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for _ in range(10):
+                _clear_frame_caches()
+                futures = [pool.submit(round_trip, i) for i in range(len(messages))]
+                for plain, want, future in zip(messages, wants, futures):
+                    assert future.result(timeout=60) == (want, plain.symbols)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_plaintext_symbol_too_large(profile):

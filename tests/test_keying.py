@@ -113,9 +113,17 @@ def test_frame_orders_must_fit_the_profile(profile, orders, reason):
 @pytest.mark.parametrize("field, reason", [
     (dict(indices=(1, 1.5, 1, 1, 1, 1)), "index 1.5 at level 2 is not an integer"),
     (dict(nonce=500.5), "nonce 500.5 is not an integer"),
-], ids=["index", "nonce"])
+    (dict(r=51.5), "r 51.5 is not an integer"),
+    (dict(s=171.0), "s 171.0 is not an integer"),
+    (dict(r="51"), "r '51' is not an integer"),
+    (dict(s=True), "s True is not an integer"),
+    (dict(issued_at=0.5), "issued_at 0.5 is not an integer"),
+    (dict(issued_at="0"), "issued_at '0' is not an integer"),
+], ids=["index", "nonce", "r", "s-float", "r-str", "s-bool", "issued_at",
+        "issued_at-str"])
 def test_frame_field_that_is_not_an_integer_is_invalid(profile, field, reason):
-    # derive_seed would truncate it to an integer and key the frame
+    # derive_seed would truncate it to an integer and key the frame; a float
+    # r or s would key float multipliers, and a string fail in a comparison
     frame = dataclasses.replace(qg.generate_frame(profile, 7), **field)
     with pytest.raises(FrameInvalid, match=f"^{reason}$"):
         qg.derive_hidden_key(profile, frame)
