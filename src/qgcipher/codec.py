@@ -183,15 +183,21 @@ def _walk(loop, rows: FrameRows, leaders, symbols) -> list:
     """_passes, with rows sliced on first use.  An unsliced row's IndexError
     slices the rows that `symbols` reach and the passes run again: every row,
     when `symbols` is at least as long as every level's row count, else the
-    rows latin.first_forged meets.  An IndexError after that is a forged
-    ciphertext's."""
+    rows latin.first_forged meets.  An IndexError with every reached row
+    sliced is a forged ciphertext's: first_forged names it, and _walk raises
+    ForgedCiphertext."""
     try:
         return _passes(loop, rows, leaders, symbols)
     except IndexError:
-        if len(symbols) >= max(map(len, rows.rows)):
-            slice_rows(rows)
-        else:
-            first_forged(rows, leaders, symbols)
+        pass
+    if len(symbols) >= max(map(len, rows.rows)) and slice_rows(rows):
+        try:
+            return _passes(loop, rows, leaders, symbols)
+        except IndexError:
+            pass
+    forged = first_forged(rows, leaders, symbols)
+    if forged:
+        raise ForgedCiphertext(*forged)
     return _passes(loop, rows, leaders, symbols)
 
 
@@ -223,21 +229,16 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     leave symbols above r once the order-s levels are undone; the first
     order-r level then raises ForgedCiphertext.  The rows mark such a
     symbol, and latin.first_forged walks them one level at a time, slicing
-    any row still unsliced, to name its position and level.
+    any row still unsliced, to name its position, level and order.
     """
-    levels = key_levels(profile, frame, key)
+    key_levels(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
     rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
                       frame.nonce, inverse=True)
-    leaders = key.multipliers[::-1]
-    try:
-        symbols = _walk(unchain_pass, rows, leaders, ciphertext.symbols)
-    except IndexError:
-        position, symbol, level = first_forged(rows, leaders, ciphertext.symbols)
-        raise ForgedCiphertext(position, symbol, level, levels[level - 1][0]) from None
-    return SymbolStream._trusted(frame.r, symbols)
+    return SymbolStream._trusted(frame.r, _walk(
+        unchain_pass, rows, key.multipliers[::-1], ciphertext.symbols))
 
 
 # --- ciphertext container -------------------------------------------------------

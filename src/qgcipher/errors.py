@@ -137,6 +137,10 @@ class NegativeTime(QGError):
     pass
 
 
+class TimeNotInteger(QGError):
+    pass
+
+
 class UnknownNode(QGError):
     pass
 

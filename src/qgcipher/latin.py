@@ -246,7 +246,8 @@ def unchain(square: LatinSquare, leader: int, symbols) -> list:
 #
 # Rows are sliced on first use.  Every row starts as _UNSLICED, whose
 # lookup raises the IndexError that the passes let through; first_forged
-# slices the rows a level-at-a-time walk reaches, and slice_rows every row.
+# slices the rows a level-at-a-time walk reaches, and slice_rows every row,
+# both through _slice.
 
 # Decrypt's mark for a symbol y above the next level's order is _FORGED + y:
 # an index past the end of any row, so that its next lookup raises
@@ -338,43 +339,43 @@ def unchain_rows(isotopies: list) -> FrameRows:
                      coords[::-1], windows, offsets, True)
 
 
-def _slice_level(rows: FrameRows, w: int) -> None:
-    """Slice every unsliced row of level w (in walk order) that a state can
-    reach."""
-    level, window, n = rows.rows[w], rows.windows[w], len(rows.windows[w]) // 2
-    for a, i in enumerate(rows.offsets[w]):
-        if i is not None and level[a] is _UNSLICED:
-            level[a] = window[i:i + n]
+def _slice(rows: FrameRows, w: int, a: int) -> list:
+    """Slice, store and return level w's row for state a (walk order)."""
+    window, i = rows.windows[w], rows.offsets[w][a]
+    row = rows.rows[w][a] = window[i:i + len(window) // 2]
+    return row
 
 
-def slice_rows(rows: FrameRows) -> None:
-    """Slice every row of every level that a state can reach."""
-    for w in range(len(rows.windows)):
-        _slice_level(rows, w)
+def slice_rows(rows: FrameRows) -> int:
+    """Slice every unsliced row of every level that a state can reach, and
+    return how many were sliced."""
+    count = 0
+    for w, (level, offsets) in enumerate(zip(rows.rows, rows.offsets)):
+        for a, i in enumerate(offsets):
+            if i is not None and level[a] is _UNSLICED:
+                _slice(rows, w, a)
+                count += 1
+    return count
 
 
 def first_forged(rows: FrameRows, leaders, symbols):
     """Walk `symbols` through the rows one level at a time, slicing each
     unsliced row it meets, to the first symbol coded as above the next
-    level's order.  Return it as (position, symbol, level), levels numbered
-    1..k from the plaintext side, or None if no level yields one.  A level
-    with no more rows than there are symbols is sliced whole first: the
-    walk reaches most of its rows anyway."""
+    level's order.  Return it as (position, symbol, level, order), levels
+    numbered 1..k from the plaintext side and order being that level's, or
+    None if no level yields one."""
     symbols = [rows.entry[x] for x in symbols]
     k = len(rows.starts)
     for w, (level, start, leader) in enumerate(zip(rows.rows, rows.starts, leaders)):
-        if len(symbols) >= len(level):
-            _slice_level(rows, w)
-        window, offsets = rows.windows[w], rows.offsets[w]
-        n = len(window) // 2
         a, out = start[leader], []
         for position, x in enumerate(symbols, 1):
             row = level[a]
             if row is _UNSLICED:
-                row = level[a] = window[offsets[a]:offsets[a] + n]
+                row = _slice(rows, w, a)
             y = row[x]
             if y >= _FORGED:
-                return position, y - _FORGED, k - 1 - w
+                return (position, y - _FORGED, k - 1 - w,
+                        len(rows.windows[w + 1]) // 2)
             out.append(y)
             a = x if rows.inverse else y
         symbols = out

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .codec import get_alphabet, symbols_to_text, text_to_symbols, decrypt, encrypt
-from .errors import NegativeTime, TooFewNodes, UnknownNode
+from .errors import NegativeTime, TimeNotInteger, TooFewNodes, UnknownNode
 from .keying import HiddenKey, KeyFrame, derive_hidden_key, generate_frame
-from .qgdb import NetworkProfile
+from .qgdb import NetworkProfile, _conforms
 from .seeds import SplitMix64
 
 
@@ -110,7 +110,10 @@ def issue_frame(sim: SimState) -> SimState:
 
 
 def advance(sim: SimState, dt: int) -> SimState:
-    """Move the clock forward; reissue if the frame is close to expiry."""
+    """Move the clock forward; reissue if the frame is close to expiry.
+    Frames are issued at the clock, so it moves by whole steps only."""
+    if not _conforms(dt, int):
+        raise TimeNotInteger(f"dt must be an integer, got {dt!r}")
     if dt < 0:
         raise NegativeTime(f"dt must be >= 0, got {dt}")
     sim.clock += dt

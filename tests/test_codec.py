@@ -385,9 +385,11 @@ def _levels_undone(levels, cipher):
 @settings(max_examples=30, deadline=None)
 def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
     # One frame's messages in turn, each meeting the rows that the ones
-    # before it left unsliced, with lengths on both sides of the row counts
-    # where a level is sliced whole.  A message shorter than r slices at
-    # most one row per symbol in each level, a forged one included.
+    # before it left unsliced, with lengths on both sides of the row counts.
+    # A message shorter than s, below each direction's largest row count
+    # (s + 1 to encrypt, s to decrypt), slices at most one row per symbol
+    # in each level, a forged one included, and a plaintext only the rows
+    # of the states its levels pass through.
     profile, frame, key = data.draw(_keyed_frames())
     levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
               for order, index, q in zip(key.level_orders, frame.indices,
@@ -399,12 +401,14 @@ def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
         kind = data.draw(st.sampled_from(["plain", "cipher", "forged"]))
         length = data.draw(lengths)
         before = [_sliced(profile, frame, key, inverse) for inverse in (False, True)]
+        reached = [length] * len(levels)
         if kind == "plain":
             plain = qg.SymbolStream(frame.r, data.draw(
                 st.lists(st.integers(1, frame.r), min_size=length, max_size=length)))
             want = plain
-            for square, q in levels:
+            for j, (square, q) in enumerate(levels):
                 want = qg.encrypt_level(square, q, want)
+                reached[j] = len({q, *want.symbols[:-1]})
             cipher = qg.encrypt(profile, frame, key, plain)
             assert cipher.symbols == want.symbols
             assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
@@ -427,10 +431,12 @@ def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
                 assert str(exc).endswith(f"exceeds its order {forged[3]}")
             else:
                 assert forged is None and got.symbols == want.symbols
-        if length < frame.r:
+        if length < frame.s:
             after = [_sliced(profile, frame, key, inverse) for inverse in (False, True)]
-            for old, new in zip(sum(before, []), sum(after, [])):
-                assert new - old <= length
+            # decrypt walks the levels last first
+            for old, new, most in zip(sum(before, []), sum(after, []),
+                                      reached + reached[::-1]):
+                assert new - old <= most
 
 
 def test_a_cold_short_message_slices_few_rows(profile):
@@ -531,6 +537,26 @@ def test_forged_ciphertext_is_a_qgerror(profile):
     assert (err.value.position, err.value.level) == (1, profile.split)
     assert err.value.symbol > frame.r
     assert "position 1" in str(err.value) and "level 3" in str(err.value)
+
+
+@pytest.mark.parametrize("length", [8, 400], ids=["short", "long"])
+def test_a_forged_ciphertext_on_sliced_rows_runs_the_passes_once(
+        profile, monkeypatch, length):
+    # Once the rows it reaches are sliced, a forged ciphertext costs one
+    # pass and the walk that names it, on either side of the row counts.
+    frame, key = _material(profile)
+    forged = qg.SymbolStream(frame.s, ((170, 3, 150, 12, 99, 171, 1, 160)
+                                       * 50)[:length])
+    _clear_frame_caches()
+    with pytest.raises(ForgedCiphertext):
+        qg.decrypt(profile, frame, key, forged)
+    passes, run = [], qg.codec._passes
+    monkeypatch.setattr(qg.codec, "_passes",
+                        lambda *args: passes.append(args) or run(*args))
+    with pytest.raises(ForgedCiphertext) as err:
+        qg.decrypt(profile, frame, key, forged)
+    assert len(passes) == 1
+    assert (err.value.position, err.value.level) == (1, profile.split)
 
 
 def test_random_streams_decrypt_or_raise_forged_ciphertext(profile):

@@ -7,6 +7,7 @@ from qgcipher import tasim
 from qgcipher.cli import main
 from qgcipher.errors import (
     NegativeTime,
+    TimeNotInteger,
     TooFewNodes,
     UnknownNode,
     UnmappableCharacter,
@@ -92,6 +93,19 @@ def test_advance_rejects_negative(profile):
     sim = qg.sim_init(profile, 2, 5)
     with pytest.raises(NegativeTime):
         qg.advance(sim, -1)
+
+
+@pytest.mark.parametrize("dt", [0.5, 60.0, "60", True],
+                         ids=["half", "whole-float", "str", "bool"])
+def test_advance_rejects_a_step_that_is_not_an_integer(profile, dt):
+    # A rekey would issue its frame at a non-integer clock, which keying
+    # refuses; the step is refused first, with the clock and log untouched.
+    sim = qg.sim_init(profile, 2, 5)
+    qg.issue_frame(sim)
+    before = (sim.clock, sim.current_frame, len(sim.log))
+    with pytest.raises(TimeNotInteger):
+        qg.advance(sim, dt)
+    assert (sim.clock, sim.current_frame, len(sim.log)) == before
 
 
 def test_send_round_trips_folded_text(profile):
