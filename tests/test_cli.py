@@ -356,6 +356,42 @@ def test_analyze_adhoc_file(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("lag,")
 
 
+# The --in text codes with latin41's apostrophe, comma, period and digits, so
+# its frame (seed 7, r = 51) needs r >= 41.
+ANALYZE_TEXT = "It's 10 o'clock, all's well.\n" * 12
+
+# SHA-256 of analyze's stdout (the CSV) and of its stderr (the summary line)
+# under frame seed 7 with --max-lag 200.
+ANALYZE_PINS = {
+    "case-1": ("0cfc3d632743134097ca23bd220db85ba7c5d4e0319b39114077328d58af694f",
+               "2afd2681aa20b710582f75948c6c3540af7c48a1c139baa406b7b223c36814c7"),
+    "case-2": ("410fcc8299e26041794933238466d6814f5f68b62ee275de3b7b40b1c0ea6c89",
+               "908f478b026e60247ad9b61b4c02312d0c7321337392290afc3b1ec653b2bf3a"),
+    "case-3": ("760d6f579abeb5e034e36212dffbf903c0a4e812e697d48f002bbdfd0c552034",
+               "fe47d4951456225d7bd3787be27d8788046a2272a43e16a98aaa1226bfe3c92a"),
+    "case-5": ("3326489dbc6fff9c06dda116a26b77af1e6a8759d0e9972fe011c891be7bdd67",
+               "7e62d7f223dc544d5a8b6280c9ffeafe67f4aebf8e08ac1f133a95514c6cf8bc"),
+    "case-6": ("88e76e0df59a824e397c6d6b8d7a8ca3ea98f37b33d226d778fe45b6a310f540",
+               "9ce5f85db9d586ae54085a9af46669f107afcdf3b29381cdd21b5180644d068d"),
+    "in": ("f7e926d7c1d7238ef332054ff169573778a3020642d484c024bd5cc9ed795540",
+           "d14f0c1769414340aa570b50951530acd6d055de66e286578872ae39ea45439e"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(ANALYZE_PINS))
+def test_analyze_output_bytes_are_pinned(source, tmp_path, capsys):
+    if source == "in":
+        sample = tmp_path / "sample.txt"
+        sample.write_text(ANALYZE_TEXT)
+        argv = ["--in", str(sample)]
+    else:
+        argv = ["--case", source.removeprefix("case-")]
+    assert main(["analyze", *argv, "--seed", "7", "--max-lag", "200"]) == 0
+    captured = capsys.readouterr()
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (captured.out, captured.err)) == ANALYZE_PINS[source]
+
+
 def test_qg_dump_is_deterministic(capsys):
     argv = ["qg-dump", "--order", "4", "--index", "1", "--nonce", "7"]
     assert main(argv) == 0
