@@ -6,6 +6,11 @@ collapsing toward zero for every positive lag.  The normalized ratio
 R(k)/R(0) is exposed alongside for threshold tests, together with symbol
 histograms and empirical Shannon entropy.
 
+A measurement reads a stream's symbol tuple into numpy once (_as_array).
+A report reads each of its two streams once, in turn, and takes the
+stream's autocorrelation, entropy and distinct-symbol count from that one
+array and its one bincount.
+
 run_case() drives the built-in demonstration inputs -- highly redundant
 and random text samples -- through the full encryptor and reports both
 sides.  Case numbering skips 4.
@@ -35,6 +40,11 @@ class AutocorrelationReport:
     length: int
 
 
+def _as_array(stream: SymbolStream) -> np.ndarray:
+    """The stream's symbols as a fresh int64 array."""
+    return np.array(stream.symbols, dtype=np.int64)
+
+
 def autocorrelation(stream: SymbolStream, max_lag: int) -> AutocorrelationReport:
     """Mean-subtracted, unnormalized autocorrelation up to max_lag.
 
@@ -49,16 +59,20 @@ def autocorrelation(stream: SymbolStream, max_lag: int) -> AutocorrelationReport
     FFT inputs of _lag_products small; the quotient by n^2 is taken in
     Python ints.
     """
-    n = len(stream)
+    return _autocorrelation(_as_array(stream), max_lag)
+
+
+def _autocorrelation(x: np.ndarray, max_lag: int) -> AutocorrelationReport:
+    """autocorrelation() of the int64 symbols x, which are left unchanged."""
+    n = len(x)
     if n == 0:
         raise EmptyStream("cannot autocorrelate an empty stream")
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     k_max = min(max_lag, n - 1)
-    y = np.array(stream.symbols, dtype=np.int64)
-    total = int(y.sum())
+    total = int(x.sum())
     shift, s = divmod(total, n)     # s = sum of the shifted symbols
-    y -= shift
+    y = x - shift
     # A_k + B_k = 2S - (sum of the first k) - (sum of the last k)
     ends = np.zeros(k_max + 1, dtype=np.int64)
     np.cumsum(y[:k_max] + y[::-1][:k_max], out=ends[1:])
@@ -123,19 +137,30 @@ def _blocked_lag_products(y: np.ndarray, k_max: int, size: int) -> np.ndarray:
 
 def entropy(stream: SymbolStream) -> float:
     """Empirical Shannon entropy in bits."""
-    n = len(stream)
+    return _entropy(np.bincount(_as_array(stream)), len(stream))
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    """entropy() from the bincount of a stream of n symbols."""
     if n == 0:
         raise EmptyStream("cannot take the entropy of an empty stream")
-    counts = np.bincount(np.asarray(stream.symbols))
     p = counts[counts > 0] / n
     return float(0.0 - (p * np.log2(p)).sum())
 
 
 def histogram(stream: SymbolStream) -> dict:
     """Counts per symbol 1..order (zeros included); counts sum to the length."""
-    counts = np.bincount(np.asarray(stream.symbols, dtype=np.int64),
-                         minlength=stream.order + 1)
+    counts = np.bincount(_as_array(stream), minlength=stream.order + 1)
     return {sym: int(counts[sym]) for sym in range(1, stream.order + 1)}
+
+
+def _measure(stream: SymbolStream, max_lag: int) -> tuple:
+    """(autocorrelation, entropy, distinct-symbol count) of one stream, read
+    into numpy once."""
+    x = _as_array(stream)
+    acf = _autocorrelation(x, max_lag)
+    counts = np.bincount(x)
+    return acf, _entropy(counts, len(x)), int(np.count_nonzero(counts))
 
 
 # --- demonstration cases -------------------------------------------------------
@@ -189,17 +214,19 @@ def analyze_text(text: str, profile: NetworkProfile, frame: KeyFrame,
     """Encrypt a text and measure both sides (case_id 0 for ad-hoc input)."""
     plain = text_to_symbols(text, alphabet)
     cipher = encrypt(profile, frame, key, plain)
+    acf_in, entropy_in, distinct_in = _measure(plain, max_lag)
+    acf_out, entropy_out, distinct_out = _measure(cipher, max_lag)
     return CaseReport(
         case_id=case_id,
         input_text=text,
         input_stream=plain,
         output_stream=cipher,
-        input_autocorrelation=autocorrelation(plain, max_lag),
-        output_autocorrelation=autocorrelation(cipher, max_lag),
-        input_entropy=entropy(plain),
-        output_entropy=entropy(cipher),
-        input_distinct=len(set(plain.symbols)),
-        output_distinct=len(set(cipher.symbols)),
+        input_autocorrelation=acf_in,
+        output_autocorrelation=acf_out,
+        input_entropy=entropy_in,
+        output_entropy=entropy_out,
+        input_distinct=distinct_in,
+        output_distinct=distinct_out,
     )
 
 

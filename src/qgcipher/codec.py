@@ -114,11 +114,12 @@ def text_to_symbols(text: str, alphabet: Alphabet = LATIN27) -> SymbolStream:
     original (pre-fold) character of the first failure.
     """
     folded = fold_text(text)
-    if not alphabet._chars.issuperset(folded):
-        # folding keeps positions, so the position in `folded` is the
+    if folded.translate(alphabet._strip):
+        # only characters outside the alphabet survive the strip; folding
+        # keeps positions, so the position in `folded` is the
         # position in `text`
         pos = next(pos for pos, ch in enumerate(folded)
-                   if ch not in alphabet._chars)
+                   if ch not in alphabet.char_to_symbol)
         raise UnmappableCharacter(pos + 1, text[pos])
     # each character becomes the code point of its symbol (at most 255)
     symbols = folded.translate(alphabet._to_symbol).encode("latin-1")

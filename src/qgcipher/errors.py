@@ -77,6 +77,7 @@ class PlaintextSymbolTooLarge(QGError):
             f"plaintext symbol {symbol} at position {position} exceeds {limit}")
         self.position = position
         self.symbol = symbol
+        self.limit = limit
 
 
 class CiphertextSymbolTooLarge(QGError):
@@ -85,6 +86,7 @@ class CiphertextSymbolTooLarge(QGError):
             f"ciphertext symbol {symbol} at position {position} exceeds {limit}")
         self.position = position
         self.symbol = symbol
+        self.limit = limit
 
 
 class ForgedCiphertext(QGError):
@@ -99,6 +101,7 @@ class ForgedCiphertext(QGError):
         self.position = position
         self.symbol = symbol
         self.level = level
+        self.order = limit
 
 
 class KeyMismatch(QGError):

@@ -62,14 +62,15 @@ class Alphabet:
     mutual inverses between single characters and the symbols 1..size,
     with size at most MAX_ALPHABET_SIZE.
 
-    The codec's translate tables are derived here: _chars is the character
-    set, _to_symbol maps each character to the code point of its symbol,
-    and _to_char maps that code point back to the character."""
+    The codec's translate tables are derived here: _strip deletes every
+    character of the alphabet, _to_symbol maps each character to the code
+    point of its symbol, and _to_char maps that code point back to the
+    character."""
 
     id: str
     char_to_symbol: Mapping = field(repr=False)
     symbol_to_char: Mapping = field(repr=False)
-    _chars: frozenset = field(init=False, repr=False, compare=False)
+    _strip: dict = field(init=False, repr=False, compare=False)
     _to_symbol: dict = field(init=False, repr=False, compare=False)
     _to_char: dict = field(init=False, repr=False, compare=False)
 
@@ -83,7 +84,8 @@ class Alphabet:
                 != {sym: ch for ch, sym in self.char_to_symbol.items()}):
             raise SymbolOutOfRange(f"alphabet {self.id!r} is not a bijection "
                                    f"between its characters and 1..{size}")
-        object.__setattr__(self, "_chars", frozenset(self.char_to_symbol))
+        object.__setattr__(self, "_strip", str.maketrans(
+            "", "", "".join(self.char_to_symbol)))
         object.__setattr__(self, "_to_symbol", str.maketrans(
             {ch: chr(sym) for ch, sym in self.char_to_symbol.items()}))
         object.__setattr__(self, "_to_char", str.maketrans(

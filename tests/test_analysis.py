@@ -1,4 +1,6 @@
 import math
+import operator
+import string
 from fractions import Fraction
 
 import numpy as np
@@ -262,3 +264,63 @@ def test_round_trip_recovers_case_text(profile):
     back = qg.decrypt(profile, frame, key, report.output_stream)
     assert qg.symbols_to_text(
         qg.SymbolStream(41, back.symbols), qg.LATIN41) == qg.CASE_INPUTS[2]
+
+
+# --- one report, one array per stream ------------------------------------------------------
+
+# latin41's characters, lowercase and newline included, which fold onto them
+REPORT_CHARS = string.ascii_letters + " .,0123456789'\n"
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_report_measures_each_stream_as_the_public_calls_do(data):
+    # A report reads each stream once; what it reads must be what the
+    # public autocorrelation and entropy read, constant texts included.
+    profile = qg.default_profile()
+    frame = qg.generate_frame(profile, PINNED_SEED)
+    key = qg.derive_hidden_key(profile, frame)
+    text = data.draw(st.one_of(
+        st.text(REPORT_CHARS, min_size=1, max_size=300),
+        st.builds(operator.mul, st.sampled_from(REPORT_CHARS),
+                  st.integers(1, 300))))
+    max_lag = data.draw(st.integers(0, len(text) + 5))
+    report = qg.analyze_text(text, profile, frame, key, alphabet=qg.LATIN41,
+                             max_lag=max_lag)
+    assert report.input_stream == qg.text_to_symbols(text, qg.LATIN41)
+    assert report.output_stream == qg.encrypt(profile, frame, key,
+                                              report.input_stream)
+    for stream, acf, bits, distinct in (
+            (report.input_stream, report.input_autocorrelation,
+             report.input_entropy, report.input_distinct),
+            (report.output_stream, report.output_autocorrelation,
+             report.output_entropy, report.output_distinct)):
+        want = qg.autocorrelation(stream, max_lag)
+        assert acf.lags.tolist() == want.lags.tolist()
+        assert acf.values.tolist() == want.values.tolist()
+        assert acf.normalized.tolist() == want.normalized.tolist()
+        assert (acf.mean, acf.length) == (want.mean, want.length)
+        assert bits == qg.entropy(stream)
+        assert distinct == len(set(stream.symbols))
+
+
+def test_a_report_keeps_its_errors(profile):
+    frame = qg.generate_frame(profile, PINNED_SEED)
+    key = qg.derive_hidden_key(profile, frame)
+    with pytest.raises(EmptyStream) as err:
+        qg.analyze_text("", profile, frame, key)
+    assert str(err.value) == "cannot autocorrelate an empty stream"
+    with pytest.raises(ValueError) as err:
+        qg.analyze_text("K K", profile, frame, key, max_lag=-1)
+    assert str(err.value) == "max_lag must be >= 0, got -1"
+
+
+def test_a_report_reads_each_stream_into_numpy_once(profile, monkeypatch):
+    frame = qg.generate_frame(profile, PINNED_SEED)
+    key = qg.derive_hidden_key(profile, frame)
+    read, as_array = [], analysis._as_array
+    monkeypatch.setattr(analysis, "_as_array",
+                        lambda stream: read.append(stream) or as_array(stream))
+    report = qg.run_case(5, profile, frame, key, max_lag=50)
+    assert len(read) == 2
+    assert read[0] is report.input_stream and read[1] is report.output_stream

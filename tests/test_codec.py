@@ -429,6 +429,7 @@ def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
             except ForgedCiphertext as exc:
                 assert (exc.position, exc.symbol, exc.level) == forged[:3]
                 assert str(exc).endswith(f"exceeds its order {forged[3]}")
+                assert exc.order == forged[3]
             else:
                 assert forged is None and got.symbols == want.symbols
         if length < frame.s:
@@ -513,6 +514,7 @@ def test_plaintext_symbol_too_large(profile):
     with pytest.raises(PlaintextSymbolTooLarge) as err:
         qg.encrypt(profile, frame, key, plain)
     assert err.value.position == 2
+    assert err.value.limit == frame.r
 
 
 def test_ciphertext_symbol_too_large(profile):
@@ -524,6 +526,7 @@ def test_ciphertext_symbol_too_large(profile):
     with pytest.raises(CiphertextSymbolTooLarge) as err:
         qg.decrypt(profile, frame, key, cipher)
     assert (err.value.position, err.value.symbol) == (3, frame.s + 4)
+    assert err.value.limit == frame.s
 
 
 def test_forged_ciphertext_is_a_qgerror(profile):
@@ -537,6 +540,7 @@ def test_forged_ciphertext_is_a_qgerror(profile):
     assert (err.value.position, err.value.level) == (1, profile.split)
     assert err.value.symbol > frame.r
     assert "position 1" in str(err.value) and "level 3" in str(err.value)
+    assert err.value.order == frame.r
 
 
 @pytest.mark.parametrize("length", [8, 400], ids=["short", "long"])
@@ -557,6 +561,7 @@ def test_a_forged_ciphertext_on_sliced_rows_runs_the_passes_once(
         qg.decrypt(profile, frame, key, forged)
     assert len(passes) == 1
     assert (err.value.position, err.value.level) == (1, profile.split)
+    assert err.value.order == frame.r
 
 
 def test_random_streams_decrypt_or_raise_forged_ciphertext(profile):
@@ -572,6 +577,7 @@ def test_random_streams_decrypt_or_raise_forged_ciphertext(profile):
             forged += 1
             assert 1 <= exc.position <= 20 and exc.symbol > frame.r
             assert exc.level == profile.split
+            assert exc.order == frame.r
         else:
             assert qg.encrypt(profile, frame, key, plain) == cipher
     assert forged > 0
