@@ -63,7 +63,8 @@ def autocorrelation(stream: SymbolStream, max_lag: int) -> AutocorrelationReport
 
 
 def _autocorrelation(x: np.ndarray, max_lag: int) -> AutocorrelationReport:
-    """autocorrelation() of the int64 symbols x, which are left unchanged."""
+    """autocorrelation() of the int64 symbols x, which it shifts in place
+    by the floor of their mean, so x is changed."""
     n = len(x)
     if n == 0:
         raise EmptyStream("cannot autocorrelate an empty stream")
@@ -72,14 +73,14 @@ def _autocorrelation(x: np.ndarray, max_lag: int) -> AutocorrelationReport:
     k_max = min(max_lag, n - 1)
     total = int(x.sum())
     shift, s = divmod(total, n)     # s = sum of the shifted symbols
-    y = x - shift
+    x -= shift
     # A_k + B_k = 2S - (sum of the first k) - (sum of the last k)
     ends = np.zeros(k_max + 1, dtype=np.int64)
-    np.cumsum(y[:k_max] + y[::-1][:k_max], out=ends[1:])
+    np.cumsum(x[:k_max] + x[::-1][:k_max], out=ends[1:])
     nn = n * n
     values = np.array([
         (nn * p - n * s * (2 * s - e) + (n - k) * s * s) / nn
-        for k, (p, e) in enumerate(zip(_lag_products(y, k_max).tolist(),
+        for k, (p, e) in enumerate(zip(_lag_products(x, k_max).tolist(),
                                        ends.tolist()))])
     r0 = values[0]
     normalized = values / r0 if r0 > 0 else np.zeros_like(values)
@@ -158,9 +159,9 @@ def _measure(stream: SymbolStream, max_lag: int) -> tuple:
     """(autocorrelation, entropy, distinct-symbol count) of one stream, read
     into numpy once."""
     x = _as_array(stream)
-    acf = _autocorrelation(x, max_lag)
-    counts = np.bincount(x)
-    return acf, _entropy(counts, len(x)), int(np.count_nonzero(counts))
+    counts = np.bincount(x)         # before _autocorrelation shifts x
+    return (_autocorrelation(x, max_lag), _entropy(counts, len(x)),
+            int(np.count_nonzero(counts)))
 
 
 # --- demonstration cases -------------------------------------------------------

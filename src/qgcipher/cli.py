@@ -408,6 +408,9 @@ def main(argv=None) -> int:
     except (QGError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def entry():

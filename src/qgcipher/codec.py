@@ -14,10 +14,12 @@ order exceeds it).  Streams from outside input are checked when built; the
 text edge and the levels, whose outputs are in range by construction, skip
 the check.  The loops are latin.chain_pass and latin.unchain_pass, two
 levels per pass, and keying.key_levels checks that a key fits its frame;
-encrypt and decrypt only walk the levels it returns, over the frame's rows
-from qgdb.frame_rows.  Those rows are sliced on first use: the loops stay
-free of any check, and the IndexError of an unsliced row sends _walk to
-slice what the message reaches and run them again.
+encrypt and decrypt only walk the levels it returns, each over its own half
+of qgdb.frame_rows, which builds a frame's rows for both directions from
+one draw of its permutations and memoizes the last frame's pair.  Those
+rows are sliced on first use: the loops stay free of any check, and the
+IndexError of an unsliced row sends _walk to slice what the message
+reaches and run them again.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -214,8 +216,8 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
-    rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
-                      frame.nonce)
+    rows, _ = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
+                         frame.nonce)
     return SymbolStream._trusted(frame.s, _walk(
         chain_pass, rows, key.multipliers, plaintext.symbols))
 
@@ -236,8 +238,8 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
-    rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
-                      frame.nonce, inverse=True)
+    _, rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
+                         frame.nonce)
     return SymbolStream._trusted(frame.r, _walk(
         unchain_pass, rows, key.multipliers[::-1], ciphertext.symbols))
 

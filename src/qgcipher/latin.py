@@ -404,5 +404,6 @@ def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,
 def format_table(square: LatinSquare) -> str:
     """Dump format: first line ``order n``, then n rows of n decimal symbols."""
     lines = [f"order {square.order}"]
-    lines.extend(" ".join(str(v) for v in row) for row in square.table.tolist())
+    # row by row: one whole-table tolist() would hold n^2 Python ints at once
+    lines.extend(" ".join(map(str, row.tolist())) for row in square.table)
     return "\n".join(lines) + "\n"

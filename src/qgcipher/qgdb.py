@@ -8,9 +8,11 @@ pure function, so every device holding the same profile reconstructs the
 same table -- and because the nonce participates, the table behind a given
 index changes whenever the authority rotates the nonce.
 
-The cipher itself needs only the permutations: frame_rows hands a frame's
-levels to latin, which slices their chain rows from them, so encryption and
-decryption build no table.  get_quasigroup builds the table for the API.
+The cipher itself needs only the permutations: frame_rows draws a frame's
+permutations once and hands them to latin, which builds both directions'
+chain rows from them, so encryption and decryption build no table.  The one
+memo is the last frame's pair of rows.  get_quasigroup builds a table for
+the API and keeps none.
 
 The text alphabets live here too, because the profile names one.
 """
@@ -36,9 +38,7 @@ DEFAULT_DB_SEED = 0x243F6A8885A308D3
 
 PROFILE_VERSION = 1
 
-# Most encryption levels a profile may name.  The permutation and table
-# caches hold this many entries, so a frame's permutations stay cached from
-# one message to the next.
+# Most encryption levels a profile may name.
 MAX_LEVELS = 16
 
 # Most table entries one frame may name (split tables of order r_max, the
@@ -297,18 +297,15 @@ def base_square(n: int) -> LatinSquare:
     return LatinSquare(np.pad((idx[:, None] + idx[None, :]) % n + 1, (1, 0)))
 
 
-@lru_cache(maxsize=MAX_LEVELS)
 def _isotopy(db_seed: int, order: int, index: int, nonce: int) -> tuple:
     """The permutations (alpha, beta, gamma) of table (order, index, nonce),
-    each a tuple of 1..order.  The last MAX_LEVELS are memoized, one frame's
-    worth at the largest level count, so encrypting and then decrypting
-    under one frame draws them once."""
+    each a tuple of 1..order.  Uncached: _frame_rows draws each level's
+    once per frame."""
     return tuple(map(tuple, permutations_from_seeds(
         [derive_seed((db_seed, order, index, nonce, tag)) for tag in (1, 2, 3)],
         order)))
 
 
-@lru_cache(maxsize=MAX_LEVELS)
 def _indexed_square(db_seed: int, order: int, index: int, nonce: int) -> LatinSquare:
     """apply_isotopy(base_square(order), alpha, beta, gamma), built directly.
 
@@ -338,39 +335,31 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
     """The indexed isotope for (order, index, nonce) under this profile.
 
     Pure and deterministic: the same arguments always produce the same
-    table, byte for byte, in any process on any platform.  The last
-    MAX_LEVELS tables are memoized, one frame's worth at the largest level
-    count; the cache is safe for concurrent lookups.
+    table, byte for byte, in any process on any platform.  Each call builds
+    the table anew and keeps no reference to it.
     """
     _check_table(profile, order, index)
     return _indexed_square(profile.db_seed, order, index, int(nonce) & MASK64)
 
 
-# One frame's rows per direction: a node encrypts and decrypts under its
-# current frame until the next rekey.
+# The last frame's rows, both directions: a node encrypts and decrypts under
+# its current frame until the next rekey.
 @lru_cache(maxsize=1)
-def _chain_rows(db_seed: int, tables: tuple, nonce: int) -> FrameRows:
-    return chain_rows([_isotopy(db_seed, order, index, nonce)
-                       for order, index in tables])
+def _frame_rows(db_seed: int, tables: tuple, nonce: int) -> tuple:
+    isotopies = [_isotopy(db_seed, order, index, nonce) for order, index in tables]
+    return chain_rows(isotopies), unchain_rows(isotopies)
 
 
-@lru_cache(maxsize=1)
-def _unchain_rows(db_seed: int, tables: tuple, nonce: int) -> FrameRows:
-    return unchain_rows([_isotopy(db_seed, order, index, nonce)
-                         for order, index in tables])
-
-
-def frame_rows(profile: NetworkProfile, tables: tuple, nonce: int,
-               inverse: bool = False) -> FrameRows:
+def frame_rows(profile: NetworkProfile, tables: tuple,
+               nonce: int) -> tuple[FrameRows, FrameRows]:
     """The chain rows of the levels whose (order, index) pairs `tables`
-    lists, level 1 first: latin.chain_rows, or latin.unchain_rows when
-    `inverse` is set.  Each pair is checked as get_quasigroup checks it, and
-    neither a table nor its inverse is built.  The rows are memoized per
-    direction for the last frame, keyed by the profile's db_seed, the pairs
-    and the nonce, and each row is sliced in place when a message first
-    reaches it.
+    lists, level 1 first: (latin.chain_rows, latin.unchain_rows), both built
+    from one draw of the levels' permutations.  Each pair is checked as
+    get_quasigroup checks it, and neither a table nor its inverse is built.
+    The pair is memoized for the last frame, keyed by the profile's db_seed,
+    the pairs and the nonce, and each row is sliced in place when a message
+    first reaches it.
     """
     for order, index in tables:
         _check_table(profile, order, index)
-    build = _unchain_rows if inverse else _chain_rows
-    return build(profile.db_seed, tables, int(nonce) & MASK64)
+    return _frame_rows(profile.db_seed, tables, int(nonce) & MASK64)

@@ -749,6 +749,14 @@ def test_qg_dump_order_is_capped_before_any_table(order, monkeypatch, capsys):
     assert f"maximum {qg.MAX_ORDER}" in err
 
 
+def test_memory_error_is_an_error_line(monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(qgdb, "get_quasigroup", out_of_memory)
+    assert main(["qg-dump", "--order", "4", "--index", "1"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("s_max", qg.MAX_ORDER + 1), ("k", qgdb.MAX_LEVELS + 1), ("k", 10 ** 9),
     ("s_max", qg.MAX_ORDER),

@@ -321,6 +321,19 @@ def test_format_table_bytes_at_order_256_are_pinned():
     ]
 
 
+def test_format_table_at_order_1024_peaks_under_20_mb():
+    # Row by row, the peak is the text and its lines, about 12 MB; a
+    # whole-table tolist() would add 10^6 Python ints, about 36 MB in all.
+    square = qg.get_quasigroup(qg.default_profile(), 1024, 7, 500)
+    tracemalloc.start()
+    try:
+        qg.format_table(square)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 # --- structure -------------------------------------------------------------------------
 
 def test_only_latin_reads_table_storage():

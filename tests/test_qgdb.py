@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -119,23 +120,34 @@ def test_table_bytes_are_pinned(order, profile):
     assert digest == TABLE_SHA256[order]
 
 
-def test_table_cache_holds_one_frame_at_the_level_cap():
-    # every level a distinct table: decrypting right after encrypting must
-    # find all of its permutations still cached, and each direction's rows
-    # are built once per frame
+def test_get_quasigroup_keeps_no_table_alive(profile):
+    # a caller that drops its table frees it, inverse and all
+    square = qg.get_quasigroup(profile, 64, 7, 500)
+    qg.left_inverse(square)
+    ref = weakref.ref(square)
+    del square
+    assert ref() is None
+
+
+def test_table_cache_holds_one_frame_at_the_level_cap(monkeypatch):
+    # every level a distinct table: the frame's permutations are drawn once,
+    # and both directions' rows are built from that one draw, so decrypting
+    # right after encrypting finds its rows memoized
     k = qg.qgdb.MAX_LEVELS
     profile = qg.NetworkProfile(level_count=k, split=k // 2)
     frame = qg.KeyFrame(r=40, s=50, indices=tuple(range(1, k + 1)), nonce=500)
     key = qg.derive_hidden_key(profile, frame)
     plain = qg.SymbolStream(40, tuple(range(1, 41)))
-    caches = [qg.qgdb._isotopy, qg.qgdb._chain_rows, qg.qgdb._unchain_rows]
-    for cache in caches:
-        cache.cache_clear()
+    drawn, isotopy = [], qg.qgdb._isotopy
+    monkeypatch.setattr(qg.qgdb, "_isotopy",
+                        lambda *args: drawn.append(args) or isotopy(*args))
+    cache = qg.qgdb._frame_rows
+    cache.cache_clear()
     for _ in range(2):
         cipher = qg.encrypt(profile, frame, key, plain)
         assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
-    assert [(c.cache_info().misses, c.cache_info().hits) for c in caches] == [
-        (k, k), (1, 1), (1, 1)]
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 3)
+    assert len(drawn) == k
 
 
 # --- profile ---------------------------------------------------------------------------
