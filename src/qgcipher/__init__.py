@@ -49,6 +49,7 @@ from .latin import (
     MAX_ORDER,
     Permutation,
     apply_isotopy,
+    base_square,
     format_table,
     left_divide,
     left_inverse,
@@ -62,7 +63,6 @@ from .qgdb import (
     LATIN27,
     LATIN41,
     NetworkProfile,
-    base_square,
     default_profile,
     get_alphabet,
     get_quasigroup,

@@ -12,14 +12,12 @@ A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
 only range check (a tighter limit reads the symbols only when the declared
 order exceeds it).  Streams from outside input are checked when built; the
 text edge and the levels, whose outputs are in range by construction, skip
-the check.  The loops are latin.chain_pass and latin.unchain_pass, two
-levels per pass, and keying.key_levels checks that a key fits its frame;
-encrypt and decrypt only walk the levels it returns, each over its own half
-of qgdb.frame_rows, which builds a frame's rows for both directions from
-one draw of its permutations and memoizes the last frame's pair.  Those
-rows are sliced on first use: the loops stay free of any check, and the
-IndexError of an unsliced row sends _walk to slice what the message
-reaches and run them again.
+the check.  encrypt and decrypt keep only the checks: keying.check_key
+that the key fits its frame, then the stream's range.  The rest is
+latin.walk over the direction's half of qgdb.frame_rows, which builds a
+frame's rows for both directions from one draw of its permutations and
+memoizes the last frame's pair; walk slices rows on first use and raises
+ForgedCiphertext.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -34,15 +32,13 @@ from dataclasses import dataclass
 from .errors import (
     CiphertextSymbolTooLarge,
     ContainerError,
-    ForgedCiphertext,
     LeaderOutOfRange,
     PlaintextSymbolTooLarge,
     SymbolOutOfRange,
     UnmappableCharacter,
 )
-from .keying import HiddenKey, KeyFrame, key_levels
-from .latin import (FrameRows, LatinSquare, chain, chain_pass, first_forged,
-                    slice_rows, unchain, unchain_pass)
+from .keying import HiddenKey, KeyFrame, check_key
+from .latin import LatinSquare, chain, unchain, walk
 # ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
 from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
                    NetworkProfile, frame_rows, get_alphabet)
@@ -169,41 +165,6 @@ def decrypt_level(square: LatinSquare, leader: int,
 
 # --- multi-level indexed encryptor ---------------------------------------------
 
-def _passes(loop, rows: FrameRows, leaders, symbols) -> list:
-    """Run `symbols` through a frame's rows in walk order, two levels per
-    pass of `loop` (latin.chain_pass or latin.unchain_pass), each level
-    starting from its leader in walk order."""
-    # an identity level after an odd count starts at 0
-    states = [*map(list.__getitem__, rows.starts, leaders), 0]
-    symbols = map(rows.entry.__getitem__, symbols)
-    levels = rows.rows
-    for j in range(0, len(levels), 2):
-        symbols = loop(levels[j], states[j], levels[j + 1], states[j + 1], symbols)
-    return symbols
-
-
-def _walk(loop, rows: FrameRows, leaders, symbols) -> list:
-    """_passes, with rows sliced on first use.  An unsliced row's IndexError
-    slices the rows that `symbols` reach and the passes run again: every row,
-    when `symbols` is at least as long as every level's row count, else the
-    rows latin.first_forged meets.  An IndexError with every reached row
-    sliced is a forged ciphertext's: first_forged names it, and _walk raises
-    ForgedCiphertext."""
-    try:
-        return _passes(loop, rows, leaders, symbols)
-    except IndexError:
-        pass
-    if len(symbols) >= max(map(len, rows.rows)) and slice_rows(rows):
-        try:
-            return _passes(loop, rows, leaders, symbols)
-        except IndexError:
-            pass
-    forged = first_forged(rows, leaders, symbols)
-    if forged:
-        raise ForgedCiphertext(*forged)
-    return _passes(loop, rows, leaders, symbols)
-
-
 def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
             plaintext: SymbolStream) -> SymbolStream:
     """Run the plaintext through every level of the indexed encryptor.
@@ -212,14 +173,14 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     and the j-th multiplier as leader.  Plaintext symbols must fit the
     first table (1..r); the result has order s.
     """
-    key_levels(profile, frame, key)
+    check_key(profile, frame, key)
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
     rows, _ = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
                          frame.nonce)
-    return SymbolStream._trusted(frame.s, _walk(
-        chain_pass, rows, key.multipliers, plaintext.symbols))
+    return SymbolStream._trusted(frame.s, walk(
+        rows, key.multipliers, plaintext.symbols))
 
 
 def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
@@ -231,17 +192,16 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     A ciphertext in 1..s that no plaintext encrypts to under this key can
     leave symbols above r once the order-s levels are undone; the first
     order-r level then raises ForgedCiphertext.  The rows mark such a
-    symbol, and latin.first_forged walks them one level at a time, slicing
-    any row still unsliced, to name its position, level and order.
+    symbol, and latin.walk names its position, level and order.
     """
-    key_levels(profile, frame, key)
+    check_key(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
     _, rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
                          frame.nonce)
-    return SymbolStream._trusted(frame.r, _walk(
-        unchain_pass, rows, key.multipliers[::-1], ciphertext.symbols))
+    return SymbolStream._trusted(frame.r, walk(
+        rows, key.multipliers[::-1], ciphertext.symbols))
 
 
 # --- ciphertext container -------------------------------------------------------

@@ -10,7 +10,7 @@ both ends.
 This module alone judges frames and keys.  _frame_problem checks structure
 (integer fields, r in the profile's r_min..r_max, r < s <= s_max, index
 count and ranges); validate_frame adds the profile's nonce window and expiry
-(a frame is valid strictly before KeyFrame.expires_at); key_levels checks
+(a frame is valid strictly before KeyFrame.expires_at); check_key checks
 that a hidden key fits a frame.  Hidden-key derivation needs only the
 structural part.
 """
@@ -159,9 +159,9 @@ def validate_frame(profile: NetworkProfile, frame: KeyFrame,
     return FrameVerdict(FrameStatus.VALID)
 
 
-def key_levels(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey):
-    """Each level's (order, index, multiplier), once the key and the frame's
-    index count are checked to fit the profile's levels."""
+def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> None:
+    """Raise KeyMismatch unless the key and the frame's index count fit the
+    profile's levels."""
     orders = level_orders(profile, frame)
     if len(frame.indices) != len(orders):
         raise KeyMismatch(f"expected {len(orders)} frame indices, "
@@ -177,7 +177,6 @@ def key_levels(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey):
             raise KeyMismatch(f"multiplier {q!r} at level {j} is not an integer")
         if not 1 <= q <= n_j:
             raise KeyMismatch(f"multiplier {q} at level {j} outside 1..{n_j}")
-    return list(zip(orders, frame.indices, key.multipliers))
 
 
 # --- frame file format -------------------------------------------------------

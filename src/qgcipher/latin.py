@@ -1,17 +1,19 @@
 """Latin-square algebra over the symbols 1..n.
 
 A quasigroup's multiplication table is a Latin square: every row and every
-column is a permutation of 1..n.  This module checks orders, validates
-tables, multiplies, left-divides, materializes the left-inverse parastrophe,
-applies isotopies, and owns the cipher's chain loops, one per direction,
-each carrying two levels per pass: it is the only module that reads a
-table's storage.  A single level runs the loop beside an identity level,
-over the rows of the padded table (or of its inverse) read in place.  A
-frame's levels run on rows sliced from each table's isotopy of Z_n
-(chain_rows, unchain_rows), so encryption and decryption build no table
-and no inverse, even for a ciphertext that no plaintext encrypts to.  A
-row is sliced when a message first reaches it (first_forged, slice_rows),
-so a fresh frame costs O(n) a level plus the rows its messages use.
+column is a permutation of 1..n.  This module checks orders, builds every
+table (the cyclic base_square, its isotopes by apply_isotopy, and tables
+checked by validate_latin_square), multiplies, left-divides, materializes
+the left-inverse parastrophe, and owns the cipher's chain loops, one per
+direction, each carrying two levels per pass: it is the only module that
+builds a table or reads its storage.  A single level runs the loop beside
+an identity level, over the rows of the padded table (or of its inverse)
+read in place.  A frame's levels run on rows sliced from each table's
+isotopy of Z_n (chain_rows, unchain_rows), so encryption and decryption
+build no table and no inverse, even for a ciphertext that no plaintext
+encrypts to; walk runs a stream through them.  A row is sliced when a
+message first reaches it, so a fresh frame costs O(n) a level plus the
+rows its messages use.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -32,6 +34,7 @@ from .errors import (
     DuplicateInColumn,
     DuplicateInRow,
     EntryOutOfRange,
+    ForgedCiphertext,
     InvalidOrder,
     NotSquare,
     SizeMismatch,
@@ -120,6 +123,13 @@ def check_order(n: int, least: int = 1) -> None:
         raise InvalidOrder(f"order must be >= {least}, got {n}")
     if n > MAX_ORDER:
         raise InvalidOrder(f"order {n} exceeds maximum {MAX_ORDER}")
+
+
+def base_square(n: int) -> LatinSquare:
+    """The canonical cyclic square: entry (a, b) = ((a + b - 2) mod n) + 1."""
+    check_order(n)
+    idx = np.arange(n, dtype=np.int32)
+    return LatinSquare(np.pad((idx[:, None] + idx[None, :]) % n + 1, (1, 0)))
 
 
 def validate_latin_square(table) -> LatinSquare:
@@ -245,9 +255,9 @@ def unchain(square: LatinSquare, leader: int, symbols) -> list:
 # and no n x n table, inverse or tolist() is built.
 #
 # Rows are sliced on first use.  Every row starts as _UNSLICED, whose
-# lookup raises the IndexError that the passes let through; first_forged
-# slices the rows a level-at-a-time walk reaches, and slice_rows every row,
-# both through _slice.
+# lookup raises the IndexError that the passes let through to walk;
+# first_forged slices the rows it reaches one level at a time, and
+# slice_rows every row, both through _slice.
 
 # Decrypt's mark for a symbol y above the next level's order is _FORGED + y:
 # an index past the end of any row, so that its next lookup raises
@@ -380,6 +390,43 @@ def first_forged(rows: FrameRows, leaders, symbols):
             a = x if rows.inverse else y
         symbols = out
     return None
+
+
+def _passes(loop, rows: FrameRows, leaders, symbols) -> list:
+    """Run `symbols` through a frame's rows in walk order, two levels per
+    pass of `loop` (chain_pass or unchain_pass), each level starting from
+    its leader in walk order."""
+    # an identity level after an odd count starts at 0
+    states = [*map(list.__getitem__, rows.starts, leaders), 0]
+    symbols = map(rows.entry.__getitem__, symbols)
+    levels = rows.rows
+    for j in range(0, len(levels), 2):
+        symbols = loop(levels[j], states[j], levels[j + 1], states[j + 1], symbols)
+    return symbols
+
+
+def walk(rows: FrameRows, leaders, symbols) -> list:
+    """`symbols` run through a frame's rows, each level starting from its
+    leader in walk order: chain_pass for encrypt rows, unchain_pass for
+    decrypt rows.  An unsliced row's IndexError slices the rows that
+    `symbols` reach and the passes run again: every row, when `symbols` is
+    at least as long as every level's row count, else the rows first_forged
+    meets.  An IndexError with every reached row sliced is a forged
+    ciphertext's: first_forged names it, and walk raises ForgedCiphertext."""
+    loop = unchain_pass if rows.inverse else chain_pass
+    try:
+        return _passes(loop, rows, leaders, symbols)
+    except IndexError:
+        pass
+    if len(symbols) >= max(map(len, rows.rows)) and slice_rows(rows):
+        try:
+            return _passes(loop, rows, leaders, symbols)
+        except IndexError:
+            pass
+    forged = first_forged(rows, leaders, symbols)
+    if forged:
+        raise ForgedCiphertext(*forged)
+    return _passes(loop, rows, leaders, symbols)
 
 
 def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,

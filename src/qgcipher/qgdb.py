@@ -8,11 +8,12 @@ pure function, so every device holding the same profile reconstructs the
 same table -- and because the nonce participates, the table behind a given
 index changes whenever the authority rotates the nonce.
 
-The cipher itself needs only the permutations: frame_rows draws a frame's
+This module only draws the permutations; latin builds whatever is made
+from them.  The cipher needs no table: frame_rows draws a frame's
 permutations once and hands them to latin, which builds both directions'
-chain rows from them, so encryption and decryption build no table.  The one
-memo is the last frame's pair of rows.  get_quasigroup builds a table for
-the API and keeps none.
+chain rows from them.  The one memo is the last frame's pair of rows.
+get_quasigroup has latin apply the isotopy to its base square, for the API,
+and keeps no table.
 
 The text alphabets live here too, because the profile names one.
 """
@@ -24,12 +25,10 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Mapping
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
-from .latin import (MAX_ORDER, FrameRows, LatinSquare, chain_rows, check_order,
-                    table_dtype, unchain_rows)
+from .latin import (MAX_ORDER, FrameRows, LatinSquare, Permutation,
+                    apply_isotopy, base_square, chain_rows, check_order,
+                    unchain_rows)
 from .seeds import MASK64, derive_seed, permutations_from_seeds
 
 # Default database seed: first 16 hex digits of the fractional part of pi,
@@ -290,13 +289,6 @@ def profile_fingerprint(raw: bytes) -> int:
 
 # --- table generation --------------------------------------------------------
 
-def base_square(n: int) -> LatinSquare:
-    """The canonical cyclic square: entry (a, b) = ((a + b - 2) mod n) + 1."""
-    check_order(n)
-    idx = np.arange(n, dtype=np.int32)
-    return LatinSquare(np.pad((idx[:, None] + idx[None, :]) % n + 1, (1, 0)))
-
-
 def _isotopy(db_seed: int, order: int, index: int, nonce: int) -> tuple:
     """The permutations (alpha, beta, gamma) of table (order, index, nonce),
     each a tuple of 1..order.  Uncached: _frame_rows draws each level's
@@ -304,24 +296,6 @@ def _isotopy(db_seed: int, order: int, index: int, nonce: int) -> tuple:
     return tuple(map(tuple, permutations_from_seeds(
         [derive_seed((db_seed, order, index, nonce, tag)) for tag in (1, 2, 3)],
         order)))
-
-
-def _indexed_square(db_seed: int, order: int, index: int, nonce: int) -> LatinSquare:
-    """apply_isotopy(base_square(order), alpha, beta, gamma), built directly.
-
-    Entry (x, y) is gamma(((alpha(x) + beta(y) - 2) mod n) + 1): entry
-    (alpha(x), beta(y)) of the circulant c[i, j] = gamma[(i + j - 2) mod n],
-    a strided view of gamma rotated by two and laid twice end to end.  Its
-    rows are picked by alpha, then its columns by beta straight into the
-    padded table, so the only other n x n array is the table-typed row pick.
-    """
-    alpha, beta, gamma = _isotopy(db_seed, order, index, nonce)
-    circulant = sliding_window_view(
-        np.array(gamma[-2:] + gamma * 2, dtype=table_dtype(order)), order + 1)
-    padded = np.zeros((order + 1, order + 1), dtype=circulant.dtype)
-    # mode="clip" (no column is out of range) writes unbuffered into padded
-    np.take(circulant[alpha, :], beta, axis=1, out=padded[1:, 1:], mode="clip")
-    return LatinSquare(padded)
 
 
 def _check_table(profile: NetworkProfile, order: int, index: int) -> None:
@@ -339,7 +313,8 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
     the table anew and keeps no reference to it.
     """
     _check_table(profile, order, index)
-    return _indexed_square(profile.db_seed, order, index, int(nonce) & MASK64)
+    return apply_isotopy(base_square(order), *map(Permutation, _isotopy(
+        profile.db_seed, order, index, int(nonce) & MASK64)))
 
 
 # The last frame's rows, both directions: a node encrypts and decrypts under

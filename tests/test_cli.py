@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgcipher as qg
-from qgcipher import cli, qgdb
+from qgcipher import cli, latin, qgdb
 from qgcipher.cli import main, parse_legacy_key
 from qgcipher.errors import NotANumber, OrderViolation, QGError, TooFewEntries
 
@@ -742,7 +742,7 @@ def test_inline_key_at_the_order_cap_is_accepted():
 def test_qg_dump_order_is_capped_before_any_table(order, monkeypatch, capsys):
     def no_tables(*args):
         raise AssertionError("a table was built")
-    monkeypatch.setattr(qgdb, "_indexed_square", no_tables)
+    monkeypatch.setattr(latin.LatinSquare, "__init__", no_tables)
     assert main(["qg-dump", "--order", str(order), "--index", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -549,8 +549,8 @@ def test_a_forged_ciphertext_on_sliced_rows_runs_the_passes_once(
     _clear_frame_caches()
     with pytest.raises(ForgedCiphertext):
         qg.decrypt(profile, frame, key, forged)
-    passes, run = [], qg.codec._passes
-    monkeypatch.setattr(qg.codec, "_passes",
+    passes, run = [], qg.latin._passes
+    monkeypatch.setattr(qg.latin, "_passes",
                         lambda *args: passes.append(args) or run(*args))
     with pytest.raises(ForgedCiphertext) as err:
         qg.decrypt(profile, frame, key, forged)

@@ -350,6 +350,28 @@ def test_only_latin_reads_table_storage():
     assert set(readers) == {"latin.py"}
 
 
+def test_only_latin_builds_tables_and_walks_rows():
+    # The table layout and the frame walk can change in latin.py alone.
+    walkers = {"chain_pass", "unchain_pass", "slice_rows", "first_forged",
+               "_UNSLICED"}
+    builders, walking = set(), set()
+    for path in Path(latin.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "LatinSquare" in _names(node.func):
+                builders.add(path.name)
+        if _names(tree) & walkers:
+            walking.add(path.name)
+        if path.name == "qgdb.py":
+            qgdb_imports = {alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.Import) for alias in node.names}
+            qgdb_imports |= {node.module for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) and node.module}
+    assert builders == {"latin.py"}
+    assert walking == {"latin.py"}
+    assert not {m for m in qgdb_imports if m.split(".")[0] == "numpy"}
+
+
 def _names(tree):
     """Every name, attribute and imported name under `tree`."""
     names = set()
