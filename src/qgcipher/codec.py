@@ -12,12 +12,12 @@ A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
 only range check (a tighter limit reads the symbols only when the declared
 order exceeds it).  Streams from outside input are checked when built; the
 text edge and the levels, whose outputs are in range by construction, skip
-the check.  encrypt and decrypt keep only the checks: keying.check_key
-that the key fits its frame, then the stream's range.  The rest is
-latin.walk over the direction's half of qgdb.frame_rows, which builds a
-frame's rows for both directions from one draw of its permutations and
-memoizes the last frame's pair; walk slices rows on first use and raises
-ForgedCiphertext.
+the check.  encrypt and decrypt keep only the checks: keying.check_key,
+which judges the frame as derive_hidden_key does and the key against it,
+then the stream's range.  The rest is latin.walk over the direction's half
+of qgdb.frame_rows, which checks nothing, builds a frame's rows for both
+directions from one draw of its permutations and memoizes the last frame's
+pair; walk slices rows on first use and raises ForgedCiphertext.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -177,8 +177,7 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
-    rows, _ = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
-                         frame.nonce)
+    rows, _ = frame_rows(profile, key.level_orders, frame.indices, frame.nonce)
     return SymbolStream._trusted(frame.s, walk(
         rows, key.multipliers, plaintext.symbols))
 
@@ -198,8 +197,7 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
-    _, rows = frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
-                         frame.nonce)
+    _, rows = frame_rows(profile, key.level_orders, frame.indices, frame.nonce)
     return SymbolStream._trusted(frame.r, walk(
         rows, key.multipliers[::-1], ciphertext.symbols))
 

@@ -10,9 +10,9 @@ both ends.
 This module alone judges frames and keys.  _frame_problem checks structure
 (integer fields, r in the profile's r_min..r_max, r < s <= s_max, index
 count and ranges); validate_frame adds the profile's nonce window and expiry
-(a frame is valid strictly before KeyFrame.expires_at); check_key checks
-that a hidden key fits a frame.  Hidden-key derivation needs only the
-structural part.
+(a frame is valid strictly before KeyFrame.expires_at); check_key, the
+cipher's one judge, adds that a hidden key fits the frame.  Hidden-key
+derivation and the cipher need only the structural part.
 """
 
 from __future__ import annotations
@@ -160,12 +160,16 @@ def validate_frame(profile: NetworkProfile, frame: KeyFrame,
 
 
 def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> None:
-    """Raise KeyMismatch unless the key and the frame's index count fit the
-    profile's levels."""
+    """Raise KeyMismatch unless the frame's index count fits the profile's
+    levels, FrameInvalid with derive_hidden_key's reason for a frame it
+    refuses, then KeyMismatch unless the key fits the frame."""
     orders = level_orders(profile, frame)
     if len(frame.indices) != len(orders):
         raise KeyMismatch(f"expected {len(orders)} frame indices, "
                           f"got {len(frame.indices)}")
+    problem = _frame_problem(profile, frame)
+    if problem is not None:
+        raise FrameInvalid(problem)
     if key.level_orders != orders:
         raise KeyMismatch(f"key level orders {key.level_orders} do not match "
                           f"frame level orders {orders}")

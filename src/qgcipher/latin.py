@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DuplicateInColumn,
@@ -126,10 +127,16 @@ def check_order(n: int, least: int = 1) -> None:
 
 
 def base_square(n: int) -> LatinSquare:
-    """The canonical cyclic square: entry (a, b) = ((a + b - 2) mod n) + 1."""
+    """The canonical cyclic square: entry (a, b) = ((a + b - 2) mod n) + 1.
+
+    Row a is 1..n rotated left by a - 1, a window of 1..n written twice,
+    so the padded table is filled in its storage type with no sum formed.
+    """
     check_order(n)
-    idx = np.arange(n, dtype=np.int32)
-    return LatinSquare(np.pad((idx[:, None] + idx[None, :]) % n + 1, (1, 0)))
+    twice = np.tile(np.arange(1, n + 1, dtype=table_dtype(n)), 2)
+    padded = np.zeros((n + 1, n + 1), dtype=twice.dtype)
+    padded[1:, 1:] = sliding_window_view(twice, n)[:n]
+    return LatinSquare(padded)
 
 
 def validate_latin_square(table) -> LatinSquare:

@@ -12,8 +12,9 @@ This module only draws the permutations; latin builds whatever is made
 from them.  The cipher needs no table: frame_rows draws a frame's
 permutations once and hands them to latin, which builds both directions'
 chain rows from them.  The one memo is the last frame's pair of rows.
+frame_rows checks nothing: its frame is one keying has judged.
 get_quasigroup has latin apply the isotopy to its base square, for the API,
-and keeps no table.
+and keeps no table; it judges its own arguments, which come from outside.
 
 The text alphabets live here too, because the profile names one.
 """
@@ -298,43 +299,47 @@ def _isotopy(db_seed: int, order: int, index: int, nonce: int) -> tuple:
         order)))
 
 
-def _check_table(profile: NetworkProfile, order: int, index: int) -> None:
-    check_order(order, least=2)
-    if not 1 <= index <= profile.index_max:
-        raise IndexOutOfRange(f"index {index} outside 1..{profile.index_max}")
-
-
 def get_quasigroup(profile: NetworkProfile, order: int, index: int,
                    nonce: int) -> LatinSquare:
     """The indexed isotope for (order, index, nonce) under this profile.
 
     Pure and deterministic: the same arguments always produce the same
     table, byte for byte, in any process on any platform.  Each call builds
-    the table anew and keeps no reference to it.
+    the table anew and keeps no reference to it.  The arguments come from
+    outside the cipher (qg-dump, the API), so they are judged here: the
+    order is an integer in 2..MAX_ORDER, else InvalidOrder; the index an
+    integer in 1..index_max and the nonce an integer, else IndexOutOfRange.
+    A bool is no integer.
     """
-    _check_table(profile, order, index)
+    if not _conforms(order, int):
+        raise InvalidOrder(f"order {order!r} is not an integer")
+    check_order(order, least=2)
+    for name, value in (("index", index), ("nonce", nonce)):
+        if not _conforms(value, int):
+            raise IndexOutOfRange(f"{name} {value!r} is not an integer")
+    if not 1 <= index <= profile.index_max:
+        raise IndexOutOfRange(f"index {index} outside 1..{profile.index_max}")
     return apply_isotopy(base_square(order), *map(Permutation, _isotopy(
-        profile.db_seed, order, index, int(nonce) & MASK64)))
+        profile.db_seed, order, index, nonce)))
 
 
 # The last frame's rows, both directions: a node encrypts and decrypts under
 # its current frame until the next rekey.
 @lru_cache(maxsize=1)
-def _frame_rows(db_seed: int, tables: tuple, nonce: int) -> tuple:
-    isotopies = [_isotopy(db_seed, order, index, nonce) for order, index in tables]
+def _frame_rows(db_seed: int, orders: tuple, indices: tuple, nonce: int) -> tuple:
+    isotopies = [_isotopy(db_seed, order, index, nonce)
+                 for order, index in zip(orders, indices)]
     return chain_rows(isotopies), unchain_rows(isotopies)
 
 
-def frame_rows(profile: NetworkProfile, tables: tuple,
+def frame_rows(profile: NetworkProfile, orders: tuple, indices,
                nonce: int) -> tuple[FrameRows, FrameRows]:
-    """The chain rows of the levels whose (order, index) pairs `tables`
-    lists, level 1 first: (latin.chain_rows, latin.unchain_rows), both built
-    from one draw of the levels' permutations.  Each pair is checked as
-    get_quasigroup checks it, and neither a table nor its inverse is built.
-    The pair is memoized for the last frame, keyed by the profile's db_seed,
-    the pairs and the nonce, and each row is sliced in place when a message
-    first reaches it.
+    """The chain rows of a frame that keying has judged, its levels' orders
+    and indices given level 1 first: (latin.chain_rows, latin.unchain_rows),
+    both built from one draw of the levels' permutations.  Nothing is
+    checked here, and neither a table nor its inverse is built.  The pair is
+    memoized for the last frame, keyed by the profile's db_seed, the orders,
+    the indices and the nonce, and each row is sliced in place when a
+    message first reaches it.
     """
-    for order, index in tables:
-        _check_table(profile, order, index)
-    return _frame_rows(profile.db_seed, tables, int(nonce) & MASK64)
+    return _frame_rows(profile.db_seed, orders, tuple(indices), nonce)

@@ -14,6 +14,7 @@ from qgcipher.errors import (
     CiphertextSymbolTooLarge,
     ContainerError,
     ForgedCiphertext,
+    FrameInvalid,
     InvalidOrder,
     KeyMismatch,
     LeaderOutOfRange,
@@ -358,7 +359,7 @@ def _clear_frame_caches():
 
 def _sliced(profile, frame, key, inverse):
     """How many rows of each level of the frame's memoized rows are sliced."""
-    rows = qg.qgdb.frame_rows(profile, tuple(zip(key.level_orders, frame.indices)),
+    rows = qg.qgdb.frame_rows(profile, key.level_orders, frame.indices,
                               frame.nonce)[inverse]
     return [sum(row != () for row in level)
             for level in rows.rows[:len(rows.starts)]]
@@ -647,6 +648,52 @@ def test_frame_with_the_wrong_index_count_is_a_mismatch(profile, run, count):
     with pytest.raises(KeyMismatch,
                        match=f"^expected 6 frame indices, got {count}$"):
         run(profile, odd, key, qg.SymbolStream(frame.r, (1,)))
+
+
+@pytest.mark.parametrize("field, keyed_by", [
+    (dict(s=900), None),
+    (dict(r=20), None),
+    (dict(r=129, s=200), None),
+    (dict(s=5000), None),
+    (dict(indices=(1, 1.5, 1, 1, 1, 1)), None),
+    (dict(nonce=500.5), None),
+    (dict(r=51.5), None),
+    (dict(s=171.0), None),
+    (dict(r="51"), None),
+    (dict(s=True), None),
+    (dict(issued_at=0.5), None),
+    (dict(issued_at="0"), None),
+    (dict(r=100, s=50), None),
+    (dict(r=200, s=100), None),
+    (dict(r=20), dict(r_min=8)),
+], ids=["s-900", "r-20", "r-129", "s-5000", "index-float", "nonce-float",
+        "r-float", "s-float", "r-str", "s-bool", "issued_at-float",
+        "issued_at-str", "r-not-below-s", "r-200-s-100", "wider-profile-key"])
+@pytest.mark.parametrize("run", [qg.encrypt, qg.decrypt],
+                         ids=["encrypt", "decrypt"])
+def test_cipher_refuses_every_frame_keying_refuses(profile, run, field,
+                                                   keyed_by, monkeypatch):
+    # the key fits the frame, so only the frame's own problem can refuse
+    # it: a hand-built key, or one derived under a profile that accepts it
+    frame = dataclasses.replace(qg.generate_frame(profile, SCRAMBLE_SEED), **field)
+    if keyed_by is None:
+        orders = qg.level_orders(profile, frame)
+        key = qg.HiddenKey(multipliers=(1,) * len(orders), level_orders=orders)
+    else:
+        key = qg.derive_hidden_key(dataclasses.replace(profile, **keyed_by),
+                                   frame)
+    with pytest.raises(FrameInvalid) as refused:
+        qg.derive_hidden_key(profile, frame)
+
+    def no_draw(*args):
+        raise AssertionError("a permutation was drawn")
+
+    qg.qgdb._frame_rows.cache_clear()
+    monkeypatch.setattr(qg.qgdb, "_isotopy", no_draw)
+    with pytest.raises(FrameInvalid) as exc:
+        run(profile, frame, key, qg.SymbolStream(1, (1,)))
+    assert str(exc.value) == str(refused.value)
+    assert qg.qgdb._frame_rows.cache_info().currsize == 0
 
 
 # --- text mapping -------------------------------------------------------------------------

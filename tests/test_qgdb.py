@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -127,6 +130,71 @@ def test_get_quasigroup_keeps_no_table_alive(profile):
     ref = weakref.ref(square)
     del square
     assert ref() is None
+
+
+def test_get_quasigroup_at_the_order_cap_peaks_under_110_mb(profile):
+    # the base square is filled in its storage type, with no wider
+    # temporary: the table is 33.6 MB, and the isotopy gathers twice
+    tracemalloc.start()
+    try:
+        qg.get_quasigroup(profile, qg.MAX_ORDER, 7, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 110e6
+
+
+@pytest.mark.parametrize("args, error, reason", [
+    ((16.0, 1, 0), InvalidOrder, "order 16.0 is not an integer"),
+    ((True, 1, 0), InvalidOrder, "order True is not an integer"),
+    ((16, 1.5, 0), IndexOutOfRange, "index 1.5 is not an integer"),
+    ((16, True, 0), IndexOutOfRange, "index True is not an integer"),
+    ((16, 1, 0.5), IndexOutOfRange, "nonce 0.5 is not an integer"),
+    ((16, 1, False), IndexOutOfRange, "nonce False is not an integer"),
+    ((16, 1, "0"), IndexOutOfRange, "nonce '0' is not an integer"),
+], ids=["order-float", "order-bool", "index-float", "index-bool",
+        "nonce-float", "nonce-bool", "nonce-str"])
+def test_get_quasigroup_refuses_a_field_that_is_not_an_integer(
+        profile, args, error, reason):
+    # derive_seed would truncate a float to the table of its integer part
+    with pytest.raises(error, match=f"^{reason}$"):
+        qg.get_quasigroup(profile, *args)
+
+
+def _named(fn) -> set:
+    """Every name and attribute that fn's code reads, and "raise" if it
+    raises; its docstring is not code."""
+    tree = ast.parse(inspect.getsource(fn))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            | {"raise" for node in ast.walk(tree) if isinstance(node, ast.Raise)})
+
+
+def test_frame_rows_check_nothing_and_build_no_tuple(profile, monkeypatch):
+    # keying.check_key judges the frame before the cipher asks for its
+    # rows, so the rows name no check and raise nothing
+    assert not hasattr(qg.qgdb, "_check_table")
+    for fn in (qg.qgdb.frame_rows, qg.qgdb._frame_rows):
+        assert not _named(fn) & {"check_order", "_conforms", "index_max",
+                                 "raise"}
+    # the key's orders and the frame's indices reach the memo as they are
+    frame = qg.generate_frame(profile, 7)
+    key = qg.derive_hidden_key(profile, frame)
+    seen, memo = [], qg.qgdb._frame_rows
+    monkeypatch.setattr(qg.qgdb, "_frame_rows",
+                        lambda *args: seen.append(args) or memo(*args))
+    plain = qg.text_to_symbols("ATTACK AT DAWN")
+    qg.decrypt(profile, frame, key, qg.encrypt(profile, frame, key, plain))
+    assert len(seen) == 2
+    for db_seed, orders, indices, nonce in seen:
+        assert orders is key.level_orders and indices is frame.indices
+        assert (db_seed, nonce) == (profile.db_seed, frame.nonce)
+    # a list of indices still keys the memo
+    rows = qg.qgdb.frame_rows(profile, key.level_orders, list(frame.indices),
+                              frame.nonce)
+    assert rows is memo(profile.db_seed, key.level_orders, frame.indices,
+                        frame.nonce)
 
 
 def test_table_cache_holds_one_frame_at_the_level_cap(monkeypatch):
