@@ -8,16 +8,19 @@ levels over tables of order r and the rest over order s; because r < s,
 order-r symbols are always valid inputs to the wider tables, so the stream's
 alphabet widens exactly once and every ciphertext symbol lands in 1..s.
 
-A SymbolStream's symbols are a tuple, each in 1..order; that invariant is the
-only range check (a tighter limit reads the symbols only when the declared
-order exceeds it).  Streams from outside input are checked when built; the
-text edge and the levels, whose outputs are in range by construction, skip
-the check.  encrypt and decrypt keep only the checks: keying.check_key,
-which judges the frame as derive_hidden_key does and the key against it,
-then the stream's range.  The rest is latin.walk over the direction's half
-of qgdb.frame_rows, which checks nothing, builds a frame's rows for both
-directions from one draw of its permutations and memoizes the last frame's
-pair; walk slices rows on first use and raises ForgedCiphertext.
+A SymbolStream's symbols are a tuple, each an integer in 1..order; that
+invariant is the only range check (a tighter limit reads the symbols only
+when the declared order exceeds it).  Streams from outside input are
+checked when built, by one sum of the tuple for integrality and the bounds
+of its set for the range; the text edge and the levels, whose outputs are
+in range by construction, skip the check.  symbols_to_text judges the
+bytes it builds from the symbols, with no scan of its own.  encrypt and
+decrypt keep only the checks: keying.check_key, which judges the frame as
+derive_hidden_key does and the key against it, then the stream's range.
+The rest is latin.walk over the direction's half of qgdb.frame_rows, which
+checks nothing, builds a frame's rows for both directions from one draw of
+its permutations and memoizes the last frame's pair; walk slices rows on
+first use and raises ForgedCiphertext.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -25,6 +28,7 @@ in qgdb (re-exported from this module).
 
 from __future__ import annotations
 
+import operator
 import string
 import struct
 from dataclasses import dataclass
@@ -56,7 +60,7 @@ class SymbolStream:
             raise SymbolOutOfRange(f"stream order must be >= 1, got {self.order}")
         symbols = tuple(self.symbols)
         object.__setattr__(self, "symbols", symbols)
-        if symbols and (min(symbols) < 1 or max(symbols) > self.order):
+        if symbols and not _all_symbols(symbols, self.order):
             pos, sym = _first_outside(symbols, self.order)
             raise SymbolOutOfRange(
                 f"symbol {sym} at position {pos} outside 1..{self.order}",
@@ -83,10 +87,34 @@ def _exceeds(stream: SymbolStream, limit: int) -> bool:
     return stream.order > limit and max(stream.symbols, default=0) > limit
 
 
+def _all_symbols(symbols: tuple, order: int) -> bool:
+    """True if every symbol is an integer in 1..order.  Integrality is
+    judged on the tuple, as a set would merge 2.0 into 2: a sum of integers
+    is one, and a sum with anything else is not or raises TypeError.  The
+    range is judged on the set, which holds at most `order` values when it
+    is met."""
+    try:
+        operator.index(sum(symbols))
+    except (TypeError, OverflowError):
+        # no integer, or a numpy integer too narrow for the sum: symbol by symbol
+        return all(_is_symbol(sym, order) for sym in symbols)
+    values = set(symbols)
+    return min(values) >= 1 and max(values) <= order
+
+
+def _is_symbol(sym, limit: int) -> bool:
+    """True if sym is an integer in 1..limit."""
+    try:
+        return 1 <= operator.index(sym) <= limit
+    except TypeError:
+        return False
+
+
 def _first_outside(symbols: tuple, limit: int) -> tuple:
-    """(position, symbol) of the first symbol outside 1..limit; error path."""
+    """(position, symbol) of the first symbol that is not an integer in
+    1..limit; error path."""
     return next((pos, sym) for pos, sym in enumerate(symbols, 1)
-                if not 1 <= sym <= limit)
+                if not _is_symbol(sym, limit))
 
 
 # --- text <-> symbols ---------------------------------------------------------
@@ -125,13 +153,21 @@ def text_to_symbols(text: str, alphabet: Alphabet = LATIN27) -> SymbolStream:
 
 
 def symbols_to_text(stream: SymbolStream, alphabet: Alphabet = LATIN27) -> str:
-    """Inverse of text_to_symbols on folded text."""
-    if _exceeds(stream, alphabet.size):
+    """Inverse of text_to_symbols on folded text.
+
+    The symbols are read into bytes once; a symbol above 255 fails there,
+    and one above the alphabet size survives deleting the alphabet's
+    symbol bytes."""
+    try:
+        raw = bytes(stream.symbols)
+    except ValueError:
+        raw = None
+    if raw is None or raw.translate(None, bytes(range(1, alphabet.size + 1))):
         pos, sym = _first_outside(stream.symbols, alphabet.size)
         raise SymbolOutOfRange(
             f"symbol {sym} at position {pos} exceeds alphabet "
             f"size {alphabet.size}", position=pos)
-    return bytes(stream.symbols).decode("latin-1").translate(alphabet._to_char)
+    return raw.decode("latin-1").translate(alphabet._to_char)
 
 
 # --- single-level transformation ----------------------------------------------

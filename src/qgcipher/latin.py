@@ -11,9 +11,10 @@ an identity level, over the rows of the padded table (or of its inverse)
 read in place.  A frame's levels run on rows sliced from each table's
 isotopy of Z_n (chain_rows, unchain_rows), so encryption and decryption
 build no table and no inverse, even for a ciphertext that no plaintext
-encrypts to; walk runs a stream through them.  A row is sliced when a
-message first reaches it, so a fresh frame costs O(n) a level plus the
-rows its messages use.
+encrypts to; walk runs a stream through them, its first level reading the
+stream's symbols as they are.  A row is sliced when a message first
+reaches it, so a fresh frame costs O(n) a level plus the rows its messages
+use.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -277,16 +279,18 @@ _UNSLICED = ()
 class FrameRows(NamedTuple):
     """One direction's chain rows for a frame's levels, in walk order.
 
-    entry maps a stream's symbols to the first level's coordinates; rows
-    holds each level's rows, with an identity level after an odd count so
-    that they pair up; starts maps each level's leader to its first state.
-    Level w's row for state a is windows[w][i:i + n] at i = offsets[w][a],
-    n being half the window; until first used, rows[w][a] is _UNSLICED.
-    inverse is set for decrypt rows, whose state is the symbol just read
-    rather than the symbol just written.
+    rows holds each level's rows, with an identity level after an odd count
+    so that they pair up; starts maps each level's leader to its first
+    state.  Level w's row for state a is windows[w][i:i + n] at
+    i = offsets[w][a], n being half the window; until first used, rows[w][a]
+    is _UNSLICED.  Level 0 reads a stream's symbols themselves: gather maps
+    its row, once sliced, to the entries at the coordinates of symbols
+    0..n, so that no pass maps the stream first.  inverse is set for
+    decrypt rows, whose state is the symbol just read rather than the
+    symbol just written.
     """
 
-    entry: list
+    gather: Callable
     rows: list
     starts: list
     windows: list
@@ -306,6 +310,8 @@ def chain_rows(isotopies: list) -> FrameRows:
     column coordinate of level j+1; E_k is the identity, so the last level
     yields ciphertext symbols.  Then rows_j[E_j[s]] is F_j[alpha_j[s-1]-1:]
     cut to n_j entries, with F_j = [E_j[g] for g in gamma_j] twice over.
+    Level 1's rows are gathered through beta_1's coordinates, so that
+    plaintext symbols index them.
     """
     encoders = [[0] + [b - 1 for b in beta] for _, beta, _ in isotopies[1:]]
     encoders.append(list(range(len(isotopies[-1][0]) + 1)))
@@ -317,8 +323,8 @@ def chain_rows(isotopies: list) -> FrameRows:
             level[code[s]] = x - 1
         offsets.append(level)
     rows = [[_UNSLICED] * len(code) for code in encoders]
-    entry = [0] + [b - 1 for b in isotopies[0][1]]
-    return FrameRows(entry, _paired(rows, len(encoders[-1])), encoders,
+    gather = itemgetter(0, *[b - 1 for b in isotopies[0][1]])
+    return FrameRows(gather, _paired(rows, len(encoders[-1])), encoders,
                      windows, offsets, False)
 
 
@@ -332,6 +338,9 @@ def unchain_rows(isotopies: list) -> FrameRows:
     window F_j[i:i + n_j] at i = (1 - alpha_j[x-1]) mod n_j of F_j, binv_j
     coded as level j-1's coordinates, twice over.  A symbol y above n_{j-1}
     is coded as _FORGED + y.  Level 1's F holds the plaintext symbols.
+    Level k reads ciphertext symbols: its rows are gathered through gi_k,
+    its state z has offset (1 - alpha_k[z-1]) mod n_k, and leader q starts
+    at state q.
     """
     coords = []                 # gi_j: symbol -> coordinate, index 0 unused
     for _, _, gamma in isotopies:
@@ -340,7 +349,8 @@ def unchain_rows(isotopies: list) -> FrameRows:
             gi[g] = i
         coords.append(gi)
     windows, offsets = [], []
-    for j in range(len(isotopies) - 1, -1, -1):
+    last = len(isotopies) - 1
+    for j in range(last, -1, -1):
         alpha, beta, gamma = isotopies[j]
         n = len(alpha)
         binv = [0] * n
@@ -350,16 +360,25 @@ def unchain_rows(isotopies: list) -> FrameRows:
             below, top = coords[j - 1], len(isotopies[j - 1][2])
             binv = [below[y] if y <= top else _FORGED + y for y in binv]
         windows.append(binv * 2)
-        offsets.append([(1 - alpha[g - 1]) % n for g in gamma])
+        if j < last:
+            offsets.append([(1 - alpha[g - 1]) % n for g in gamma])
+        else:                   # the state is the symbol; 0 is unused
+            offsets.append([None] + [(1 - x) % n for x in alpha])
     rows = [[_UNSLICED] * len(level) for level in offsets]
-    return FrameRows(coords[-1], _paired(rows, len(isotopies[0][0]) + 1),
-                     coords[::-1], windows, offsets, True)
+    starts = [list(range(len(offsets[0])))] + coords[::-1][1:]
+    return FrameRows(itemgetter(*coords[last]),
+                     _paired(rows, len(isotopies[0][0]) + 1),
+                     starts, windows, offsets, True)
 
 
-def _slice(rows: FrameRows, w: int, a: int) -> list:
-    """Slice, store and return level w's row for state a (walk order)."""
+def _slice(rows: FrameRows, w: int, a: int):
+    """Slice, store and return level w's row for state a (walk order),
+    level 0's gathered so that stream symbols index it."""
     window, i = rows.windows[w], rows.offsets[w][a]
-    row = rows.rows[w][a] = window[i:i + len(window) // 2]
+    row = window[i:i + len(window) // 2]
+    if not w:
+        row = rows.gather(row)
+    rows.rows[w][a] = row
     return row
 
 
@@ -381,7 +400,6 @@ def first_forged(rows: FrameRows, leaders, symbols):
     level's order.  Return it as (position, symbol, level, order), levels
     numbered 1..k from the plaintext side and order being that level's, or
     None if no level yields one."""
-    symbols = [rows.entry[x] for x in symbols]
     k = len(rows.starts)
     for w, (level, start, leader) in enumerate(zip(rows.rows, rows.starts, leaders)):
         a, out = start[leader], []
@@ -405,7 +423,6 @@ def _passes(loop, rows: FrameRows, leaders, symbols) -> list:
     its leader in walk order."""
     # an identity level after an odd count starts at 0
     states = [*map(list.__getitem__, rows.starts, leaders), 0]
-    symbols = map(rows.entry.__getitem__, symbols)
     levels = rows.rows
     for j in range(0, len(levels), 2):
         symbols = loop(levels[j], states[j], levels[j + 1], states[j + 1], symbols)
@@ -452,7 +469,11 @@ def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,
     a = np.array((0,) + alpha.mapping, dtype=np.intp)
     b = np.array((0,) + beta.mapping, dtype=np.intp)
     g = np.array((0,) + gamma.mapping, dtype=square._padded.dtype)
-    return LatinSquare(g[square._padded[a[:, None], b]])
+    padded = square._padded[a[:, None], b]
+    # gamma in place, one row at a time, so that no second table is held
+    for row in padded:
+        np.take(g, row, out=row, mode="clip")
+    return LatinSquare(padded)
 
 
 def format_table(square: LatinSquare) -> str:

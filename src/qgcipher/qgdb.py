@@ -290,13 +290,15 @@ def profile_fingerprint(raw: bytes) -> int:
 
 # --- table generation --------------------------------------------------------
 
-def _isotopy(db_seed: int, order: int, index: int, nonce: int) -> tuple:
-    """The permutations (alpha, beta, gamma) of table (order, index, nonce),
-    each a tuple of 1..order.  Uncached: _frame_rows draws each level's
-    once per frame."""
-    return tuple(map(tuple, permutations_from_seeds(
-        [derive_seed((db_seed, order, index, nonce, tag)) for tag in (1, 2, 3)],
-        order)))
+def _isotopy(db_seed: int, order: int, indices, nonce: int) -> list:
+    """The permutations (alpha, beta, gamma) of each table (order, index,
+    nonce), index by index, each a tuple of 1..order, from one batch of
+    draws: each seed's draws do not depend on the others.  Uncached:
+    _frame_rows draws each order's levels once per frame."""
+    perms = list(map(tuple, permutations_from_seeds(
+        [derive_seed((db_seed, order, index, nonce, tag))
+         for index in indices for tag in (1, 2, 3)], order)))
+    return [tuple(perms[i:i + 3]) for i in range(0, len(perms), 3)]
 
 
 def get_quasigroup(profile: NetworkProfile, order: int, index: int,
@@ -319,16 +321,20 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
             raise IndexOutOfRange(f"{name} {value!r} is not an integer")
     if not 1 <= index <= profile.index_max:
         raise IndexOutOfRange(f"index {index} outside 1..{profile.index_max}")
-    return apply_isotopy(base_square(order), *map(Permutation, _isotopy(
-        profile.db_seed, order, index, nonce)))
+    (isotopy,) = _isotopy(profile.db_seed, order, (index,), nonce)
+    return apply_isotopy(base_square(order), *map(Permutation, isotopy))
 
 
 # The last frame's rows, both directions: a node encrypts and decrypts under
 # its current frame until the next rekey.
 @lru_cache(maxsize=1)
 def _frame_rows(db_seed: int, orders: tuple, indices: tuple, nonce: int) -> tuple:
-    isotopies = [_isotopy(db_seed, order, index, nonce)
-                 for order, index in zip(orders, indices)]
+    levels = {}                 # order -> its levels' indices, level 1 first
+    for order, index in zip(orders, indices):
+        levels.setdefault(order, []).append(index)
+    drawn = {order: iter(_isotopy(db_seed, order, group, nonce))
+             for order, group in levels.items()}
+    isotopies = [next(drawn[order]) for order in orders]
     return chain_rows(isotopies), unchain_rows(isotopies)
 
 
@@ -336,10 +342,10 @@ def frame_rows(profile: NetworkProfile, orders: tuple, indices,
                nonce: int) -> tuple[FrameRows, FrameRows]:
     """The chain rows of a frame that keying has judged, its levels' orders
     and indices given level 1 first: (latin.chain_rows, latin.unchain_rows),
-    both built from one draw of the levels' permutations.  Nothing is
-    checked here, and neither a table nor its inverse is built.  The pair is
-    memoized for the last frame, keyed by the profile's db_seed, the orders,
-    the indices and the nonce, and each row is sliced in place when a
-    message first reaches it.
+    both built from one draw of the levels' permutations, one batch per
+    order.  Nothing is checked here, and neither a table nor its inverse is
+    built.  The pair is memoized for the last frame, keyed by the profile's
+    db_seed, the orders, the indices and the nonce, and each row is sliced
+    in place when a message first reaches it.
     """
     return _frame_rows(profile.db_seed, orders, tuple(indices), nonce)

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,7 +384,7 @@ def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
     # One frame's messages in turn, each meeting the rows that the ones
     # before it left unsliced, with lengths on both sides of the row counts.
     # A message shorter than s, below each direction's largest row count
-    # (s + 1 to encrypt, s to decrypt), slices at most one row per symbol
+    # (s + 1 in both directions), slices at most one row per symbol
     # in each level, a forged one included, and a plaintext only the rows
     # of the states its levels pass through.
     profile, frame, key = data.draw(_keyed_frames())
@@ -807,6 +808,57 @@ def test_stream_reports_first_offending_position(symbols, position):
     assert err.value.position == position
 
 
+@given(order=st.integers(1, 300), symbols=st.lists(st.integers(-3, 303),
+                                                  max_size=30))
+def test_stream_accepts_exactly_the_symbols_in_range(order, symbols):
+    outside = [pos for pos, sym in enumerate(symbols, 1)
+               if not 1 <= sym <= order]
+    if not outside:
+        assert qg.SymbolStream(order, symbols).symbols == tuple(symbols)
+        return
+    with pytest.raises(SymbolOutOfRange) as err:
+        qg.SymbolStream(order, symbols)
+    assert err.value.position == outside[0]
+    assert str(err.value) == (f"symbol {symbols[outside[0] - 1]} at position "
+                              f"{outside[0]} outside 1..{order}")
+
+
+@pytest.mark.parametrize("symbols, position", [
+    ((1.5, 2), 1),
+    ((2.0, 3), 1),
+    ((float("nan"), 3), 1),
+    ((2, 2.0), 2),                  # a set would merge 2.0 into 2
+    ((1, "2"), 2),
+    ((1, None, 2), 2),
+], ids=["half", "whole-float", "nan", "after-its-int", "str", "none"])
+@pytest.mark.parametrize("run", ["encrypt", "decrypt", "symbols_to_text"])
+def test_a_symbol_that_is_not_an_integer_is_out_of_range(profile, run, symbols,
+                                                         position):
+    # refused where the stream is built, naming the symbol's position,
+    # before any level or translate table reads it
+    frame, key = _material(profile)
+    steps = {"encrypt": lambda s: qg.encrypt(profile, frame, key, s),
+             "decrypt": lambda s: qg.decrypt(profile, frame, key, s),
+             "symbols_to_text": qg.symbols_to_text}
+    with pytest.raises(SymbolOutOfRange) as err:
+        steps[run](qg.SymbolStream(27, symbols))
+    assert err.value.position == position
+
+
+def test_numpy_integer_symbols_are_symbols(profile):
+    frame, key = _material(profile)
+    plain = qg.text_to_symbols("ATTACK AT DAWN")
+    wide = qg.SymbolStream(frame.r, tuple(np.array(plain.symbols, dtype=np.int64)))
+    assert qg.encrypt(profile, frame, key, wide) == qg.encrypt(
+        profile, frame, key, plain)
+    # 300 + uint8 overflows numpy's sum, so these are judged one by one
+    narrow = (300,) + tuple(np.array([1, 28, 2], dtype=np.uint8))
+    assert qg.SymbolStream(4096, narrow).symbols == (300, 1, 28, 2)
+    with pytest.raises(SymbolOutOfRange) as err:
+        qg.SymbolStream(27, narrow)
+    assert err.value.position == 1
+
+
 def test_stream_does_not_follow_its_source_list():
     symbols = [1, 2, 3]
     stream = qg.SymbolStream(4, symbols)
@@ -828,6 +880,12 @@ def test_symbols_beyond_alphabet_are_rejected():
     with pytest.raises(SymbolOutOfRange) as err:
         qg.symbols_to_text(stream, qg.LATIN27)
     assert err.value.position == 3
+    # a symbol above 255 fails in bytes(), before any alphabet is consulted
+    stream = qg.SymbolStream(4096, (1, 27, 2, 300, 30))
+    with pytest.raises(SymbolOutOfRange) as err:
+        qg.symbols_to_text(stream, qg.LATIN27)
+    assert err.value.position == 4
+    assert str(err.value) == "symbol 300 at position 4 exceeds alphabet size 27"
 
 
 def test_fold_rules():

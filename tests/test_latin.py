@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import tracemalloc
 from pathlib import Path
 
@@ -370,6 +371,14 @@ def test_only_latin_builds_tables_and_walks_rows():
     assert builders == {"latin.py"}
     assert walking == {"latin.py"}
     assert not {m for m in qgdb_imports if m.split(".")[0] == "numpy"}
+
+
+def test_the_passes_read_stream_symbols_with_no_entry_map():
+    # level 0's rows are gathered so that stream symbols index them: neither
+    # the passes nor first_forged maps a stream before its first level
+    for fn in (latin._passes, latin.first_forged):
+        assert "entry" not in _names(ast.parse(inspect.getsource(fn)))
+    assert "entry" not in latin.FrameRows._fields
 
 
 def _names(tree):

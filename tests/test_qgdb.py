@@ -132,16 +132,17 @@ def test_get_quasigroup_keeps_no_table_alive(profile):
     assert ref() is None
 
 
-def test_get_quasigroup_at_the_order_cap_peaks_under_110_mb(profile):
+def test_get_quasigroup_at_the_order_cap_peaks_under_75_mb(profile):
     # the base square is filled in its storage type, with no wider
-    # temporary: the table is 33.6 MB, and the isotopy gathers twice
+    # temporary: the table is 33.6 MB, the isotopy gathers rows and columns
+    # once, and gamma is gathered into that copy in place, row by row
     tracemalloc.start()
     try:
         qg.get_quasigroup(profile, qg.MAX_ORDER, 7, 500)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 110e6
+    assert peak < 75e6
 
 
 @pytest.mark.parametrize("args, error, reason", [
@@ -199,8 +200,8 @@ def test_frame_rows_check_nothing_and_build_no_tuple(profile, monkeypatch):
 
 def test_table_cache_holds_one_frame_at_the_level_cap(monkeypatch):
     # every level a distinct table: the frame's permutations are drawn once,
-    # and both directions' rows are built from that one draw, so decrypting
-    # right after encrypting finds its rows memoized
+    # in one batch per order, and both directions' rows are built from that
+    # one draw, so decrypting right after encrypting finds its rows memoized
     k = qg.qgdb.MAX_LEVELS
     profile = qg.NetworkProfile(level_count=k, split=k // 2)
     frame = qg.KeyFrame(r=40, s=50, indices=tuple(range(1, k + 1)), nonce=500)
@@ -215,7 +216,8 @@ def test_table_cache_holds_one_frame_at_the_level_cap(monkeypatch):
         cipher = qg.encrypt(profile, frame, key, plain)
         assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
     assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 3)
-    assert len(drawn) == k
+    assert [(order, len(indices)) for _, order, indices, _ in drawn] == [
+        (40, k // 2), (50, k // 2)]
 
 
 # --- profile ---------------------------------------------------------------------------
