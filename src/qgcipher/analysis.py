@@ -41,8 +41,9 @@ class AutocorrelationReport:
 
 
 def _as_array(stream: SymbolStream) -> np.ndarray:
-    """The stream's symbols as a fresh int64 array."""
-    return np.array(stream.symbols, dtype=np.int64)
+    """The stream's symbols as a fresh int64 array, read from the tuple in
+    one pass with no type inference."""
+    return np.fromiter(stream.symbols, dtype=np.int64, count=len(stream))
 
 
 def autocorrelation(stream: SymbolStream, max_lag: int) -> AutocorrelationReport:

@@ -16,7 +16,9 @@ of its set for the range; the text edge and the levels, whose outputs are
 in range by construction, skip the check.  symbols_to_text judges the
 bytes it builds from the symbols, with no scan of its own.  encrypt and
 decrypt keep only the checks: keying.check_key, which judges the frame as
-derive_hidden_key does and the key against it, then the stream's range.
+derive_hidden_key does and the key against it (a key derived from this very
+profile and frame object was judged when derived and passes at once), then
+the stream's range.
 The rest is latin.walk over the direction's half of qgdb.frame_rows, which
 checks nothing, builds a frame's rows for both directions from one draw of
 its permutations and memoizes the last frame's pair; walk slices rows on
@@ -91,12 +93,15 @@ def _all_symbols(symbols: tuple, order: int) -> bool:
     """True if every symbol is an integer in 1..order.  Integrality is
     judged on the tuple, as a set would merge 2.0 into 2: a sum of integers
     is one, and a sum with anything else is not or raises TypeError.  The
-    range is judged on the set, which holds at most `order` values when it
-    is met."""
+    sum starts at 2**62, which still fits a C long (CPython's fast path for
+    plain ints) but no numpy integer type narrower than 64 bits, so under
+    numpy 2 such a symbol raises OverflowError at once instead of wrapping
+    (numpy 1 widens the sum to 64 bits).  The range is
+    judged on the set, which holds at most `order` values when it is met."""
     try:
-        operator.index(sum(symbols))
+        operator.index(sum(symbols, 1 << 62))
     except (TypeError, OverflowError):
-        # no integer, or a numpy integer too narrow for the sum: symbol by symbol
+        # no integer, or a numpy integer narrower than 64 bits: symbol by symbol
         return all(_is_symbol(sym, order) for sym in symbols)
     values = set(symbols)
     return min(values) >= 1 and max(values) <= order

@@ -13,13 +13,20 @@ count and ranges); validate_frame adds the profile's nonce window and expiry
 (a frame is valid strictly before KeyFrame.expires_at); check_key, the
 cipher's one judge, adds that a hidden key fits the frame.  Hidden-key
 derivation and the cipher need only the structural part.
+
+A node derives its key once per frame and sends many messages under it,
+so a key remembers the (profile, frame) pair derive_hidden_key judged it
+on, when that frame's indices are a tuple and so cannot change.  check_key
+passes such a key at once for those very objects; any other key, or the
+same key with another profile or frame object, equal or not, is judged in
+full.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .errors import FrameInvalid, KeyMismatch
@@ -47,10 +54,16 @@ class KeyFrame:
 
 @dataclass(frozen=True)
 class HiddenKey:
-    """Derived multiplier vector, one leader symbol per level."""
+    """Derived multiplier vector, one leader symbol per level.
+
+    source is the (profile, frame) pair derive_hidden_key judged the key
+    on, or None for any other key; it takes no part in equality, hashing
+    or repr, and dataclasses.replace resets it."""
 
     multipliers: tuple
     level_orders: tuple
+    source: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
 
 class FrameStatus(enum.Enum):
@@ -136,7 +149,10 @@ def derive_hidden_key(profile: NetworkProfile, frame: KeyFrame) -> HiddenKey:
                          index, j)) % n_j
         for j, (index, n_j) in enumerate(zip(frame.indices, orders), 1)
     )
-    return HiddenKey(multipliers=multipliers, level_orders=orders)
+    key = HiddenKey(multipliers=multipliers, level_orders=orders)
+    if isinstance(frame.indices, tuple):
+        object.__setattr__(key, "source", (profile, frame))
+    return key
 
 
 def validate_frame(profile: NetworkProfile, frame: KeyFrame,
@@ -162,7 +178,13 @@ def validate_frame(profile: NetworkProfile, frame: KeyFrame,
 def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> None:
     """Raise KeyMismatch unless the frame's index count fits the profile's
     levels, FrameInvalid with derive_hidden_key's reason for a frame it
-    refuses, then KeyMismatch unless the key fits the frame."""
+    refuses, then KeyMismatch unless the key fits the frame.
+
+    A key derive_hidden_key built from this very profile and frame object
+    fits by construction and returns at once."""
+    source = key.source
+    if source is not None and source[0] is profile and source[1] is frame:
+        return
     orders = level_orders(profile, frame)
     if len(frame.indices) != len(orders):
         raise KeyMismatch(f"expected {len(orders)} frame indices, "

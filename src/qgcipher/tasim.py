@@ -132,8 +132,10 @@ def node_send(sim: SimState, from_node: str, to_node: str,
 
     Each side uses the hidden key it derived on accepting its frame.  Frames
     are valid when issued, so a send checks only that the receiver's frame
-    has not expired; encrypt and decrypt judge each frame's structure.  A
-    send that cannot be delivered is logged and does no cipher work.
+    has not expired.  Deriving the key judged the frame's structure, and
+    encrypt and decrypt do not judge it again for that key, profile and
+    frame.  A send that cannot be delivered is logged and does no cipher
+    work.
     Delivered plaintext is the folded input text.
     """
     for node_id in (from_node, to_node):

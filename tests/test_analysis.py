@@ -162,6 +162,19 @@ def test_entropy_of_a_constant_stream_is_positive_zero():
     assert math.copysign(1.0, qg.entropy(qg.SymbolStream(9, (6,) * 12))) == 1.0
 
 
+@pytest.mark.parametrize("symbols", [(), (7,), (1, 4096, 2, 4096),
+                                     tuple(np.array([3, 1, 2], dtype=np.uint8)),
+                                     b"ATTACK AT DAWN"])
+def test_a_stream_reads_into_the_int64_array_numpy_builds(symbols):
+    stream = qg.SymbolStream(4096, symbols)
+    got = analysis._as_array(stream)
+    want = np.array(stream.symbols, dtype=np.int64)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # _autocorrelation shifts the array in place
+    assert got.flags.writeable and got.flags.owndata
+
+
 def test_histogram_counts():
     assert qg.histogram(qg.SymbolStream(3, (1, 1, 2))) == {1: 2, 2: 1, 3: 0}
     assert qg.histogram(qg.SymbolStream(2, ())) == {1: 0, 2: 0}

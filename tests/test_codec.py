@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -856,6 +857,23 @@ def test_numpy_integer_symbols_are_symbols(profile):
     assert qg.SymbolStream(4096, narrow).symbols == (300, 1, 28, 2)
     with pytest.raises(SymbolOutOfRange) as err:
         qg.SymbolStream(27, narrow)
+    assert err.value.position == 1
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16,
+                                   np.int32, np.uint32])
+def test_narrow_numpy_symbols_are_judged_without_a_warning(dtype):
+    # two maxima overflow the dtype: numpy 2 refuses the sum's 2**62 start
+    # and judges them one by one; numpy 1 widens the sum to 64 bits
+    top = int(np.iinfo(dtype).max)
+    symbols = tuple(np.array([top, top, 1], dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qg.SymbolStream(top, symbols).symbols == (top, top, 1)
+        with pytest.raises(SymbolOutOfRange) as err:
+            qg.SymbolStream(top - 1, symbols)
+        alphabet = tuple(np.arange(1, 28, dtype=dtype))
+        assert qg.SymbolStream(27, alphabet).symbols == tuple(range(1, 28))
     assert err.value.position == 1
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgcipher as qg
-from qgcipher.errors import FrameInvalid
+from qgcipher import keying
+from qgcipher.errors import FrameInvalid, QGError
 from qgcipher.keying import FrameStatus
 
 
@@ -133,6 +134,142 @@ def test_frame_field_that_is_not_an_integer_is_invalid(profile, field, reason):
         qg.derive_hidden_key(profile, frame)
     verdict = qg.validate_frame(profile, frame, now=0)
     assert verdict.status is FrameStatus.INVALID and verdict.reason == reason
+
+
+# --- a derived key is judged once ---------------------------------------------------
+
+def _count_judgments(monkeypatch):
+    """Record every keying._frame_problem call from here on."""
+    real = keying._frame_problem
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(keying, "_frame_problem", spy)
+    return calls
+
+
+def _hand_built(key):
+    """A key equal to `key` that no derivation built."""
+    return qg.HiddenKey(key.multipliers, key.level_orders)
+
+
+def _outcome(run, *args):
+    """run(*args), or the type and message of the QGError it raises."""
+    try:
+        return run(*args)
+    except QGError as exc:
+        return type(exc), str(exc)
+
+
+def test_a_derived_key_is_not_judged_again_with_its_own_frame(profile,
+                                                              monkeypatch):
+    frame = qg.generate_frame(profile, 7)
+    key = qg.derive_hidden_key(profile, frame)
+    plain = qg.text_to_symbols("ATTACK AT DAWN")
+    judged = _count_judgments(monkeypatch)
+    cipher = qg.encrypt(profile, frame, key, plain)
+    assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+    keying.check_key(profile, frame, key)
+    assert judged == []
+    assert qg.encrypt(profile, frame, _hand_built(key), plain) == cipher
+    assert judged == [(profile, frame)]
+
+
+def test_a_keys_source_is_no_part_of_its_value(profile):
+    frame = qg.generate_frame(profile, 7)
+    key = qg.derive_hidden_key(profile, frame)
+    hand = _hand_built(key)
+    assert key.source[0] is profile and key.source[1] is frame
+    assert hand.source is None and dataclasses.replace(key).source is None
+    assert key == hand and hash(key) == hash(hand) and repr(key) == repr(hand)
+    with pytest.raises(TypeError):
+        qg.HiddenKey(key.multipliers, key.level_orders, source=(profile, frame))
+
+
+# each makes (frame, key) from the default profile and its seed-7 frame, the
+# key being no key derive_hidden_key built from these very objects
+_OTHER_KEYS = {
+    "hand-built": lambda p, f: (f, _hand_built(qg.derive_hidden_key(p, f))),
+    "equal-profile": lambda p, f: (
+        f, qg.derive_hidden_key(dataclasses.replace(p), f)),
+    "wider-profile": lambda p, f: (
+        f, qg.derive_hidden_key(dataclasses.replace(p, r_min=8), f)),
+    "equal-frame": lambda p, f: (
+        f, qg.derive_hidden_key(p, dataclasses.replace(f))),
+    "replaced-key": lambda p, f: (
+        f, dataclasses.replace(qg.derive_hidden_key(p, f))),
+    "list-frame": lambda p, f: (
+        (g := dataclasses.replace(f, indices=list(f.indices))),
+        qg.derive_hidden_key(p, g)),
+}
+
+
+@pytest.mark.parametrize("case", list(_OTHER_KEYS))
+def test_every_other_key_is_judged_in_full(profile, case, monkeypatch):
+    seven = qg.generate_frame(profile, 7)
+    own = qg.derive_hidden_key(profile, seven)
+    frame, key = _OTHER_KEYS[case](profile, seven)
+    assert key == own
+    plain = qg.text_to_symbols("ATTACK AT DAWN")
+    judged = _count_judgments(monkeypatch)
+    cipher = qg.encrypt(profile, frame, key, plain)
+    assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+    assert judged == [(profile, frame)] * 2
+    assert cipher == qg.encrypt(profile, seven, own, plain)
+
+
+@pytest.mark.parametrize("run", [qg.encrypt, qg.decrypt],
+                         ids=["encrypt", "decrypt"])
+def test_a_list_indexed_frame_changed_after_derivation_is_refused(profile, run):
+    frame = qg.generate_frame(profile, 7)
+    frame = dataclasses.replace(frame, indices=list(frame.indices))
+    key = qg.derive_hidden_key(profile, frame)
+    frame.indices[0] = 0
+    with pytest.raises(FrameInvalid,
+                       match=f"^index 0 at level 1 outside 1..{profile.index_max}$"):
+        run(profile, frame, key, qg.SymbolStream(1, (1,)))
+
+
+# values a frame's field may be changed to: valid or not for the default
+# profile (r 32..128, s up to 256, indices 1..1000), and not integers
+_FIELD_VALUES = st.one_of(st.integers(0, 300),
+                          st.sampled_from([-1, 1001, 1.5, "7", True]))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_derived_key_gives_what_a_judged_key_gives(data):
+    # the frame is keyed, then maybe replaced or changed in place; a key
+    # derived from it must give the cipher's result or error that the same
+    # multipliers give when judged in full
+    profile = qg.default_profile()
+    frame = qg.generate_frame(profile, data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        frame = dataclasses.replace(frame, indices=list(frame.indices))
+    key = qg.derive_hidden_key(profile, frame)
+    judged = _hand_built(key)
+    plain = qg.SymbolStream(frame.r, data.draw(
+        st.lists(st.integers(1, frame.r), max_size=20)))
+    cipher = qg.SymbolStream(frame.s, data.draw(
+        st.lists(st.integers(1, frame.s), max_size=20)))
+    change = data.draw(st.sampled_from(["none", "r", "s", "nonce", "index"]))
+    if change == "index":
+        level = data.draw(st.integers(0, profile.level_count - 1))
+        value = data.draw(_FIELD_VALUES)
+        if isinstance(frame.indices, list):
+            frame.indices[level] = value
+        else:
+            indices = list(frame.indices)
+            indices[level] = value
+            frame = dataclasses.replace(frame, indices=tuple(indices))
+    elif change != "none":
+        frame = dataclasses.replace(frame, **{change: data.draw(_FIELD_VALUES)})
+    for run, stream in ((qg.encrypt, plain), (qg.decrypt, cipher)):
+        assert (_outcome(run, profile, frame, key, stream)
+                == _outcome(run, profile, frame, judged, stream))
 
 
 # --- level orders -------------------------------------------------------------------

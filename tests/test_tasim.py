@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import qgcipher as qg
-from qgcipher import tasim
+from qgcipher import keying, tasim
 from qgcipher.cli import main
 from qgcipher.errors import (
     NegativeTime,
@@ -227,6 +227,23 @@ def test_a_key_is_derived_once_per_issued_frame(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("\tdelivered\t") == 1000
     assert len(derived) == out.count("\tissue\t") == 100
+
+
+def test_a_frame_is_judged_once_however_many_sends_it_keys(monkeypatch, capsys):
+    # derive_hidden_key judges each issued frame; the sends under it do not
+    real = keying._frame_problem
+    judged = []
+
+    def spy(*args):
+        judged.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(keying, "_frame_problem", spy)
+    argv = ["simulate", "--nodes", "4", "--duration", "50", "--seed", "5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\tdelivered\t") == 1000 and out.count("\trekey\t") == 99
+    assert len(judged) == 100
 
 
 def test_undeliverable_sends_do_no_cipher_work(profile, monkeypatch):
