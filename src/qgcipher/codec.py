@@ -35,6 +35,8 @@ import string
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CiphertextSymbolTooLarge,
     ContainerError,
@@ -96,12 +98,14 @@ def _all_symbols(symbols: tuple, order: int) -> bool:
     sum starts at 2**62, which still fits a C long (CPython's fast path for
     plain ints) but no numpy integer type narrower than 64 bits, so under
     numpy 2 such a symbol raises OverflowError at once instead of wrapping
-    (numpy 1 widens the sum to 64 bits).  The range is
+    (numpy 1 widens the sum to 64 bits).  A 64-bit numpy sum that
+    overflows raises FloatingPointError instead of warning.  The range is
     judged on the set, which holds at most `order` values when it is met."""
     try:
-        operator.index(sum(symbols, 1 << 62))
-    except (TypeError, OverflowError):
-        # no integer, or a numpy integer narrower than 64 bits: symbol by symbol
+        with np.errstate(over="raise"):
+            operator.index(sum(symbols, 1 << 62))
+    except (TypeError, OverflowError, FloatingPointError):
+        # no integer, or a numpy sum that cannot hold it: symbol by symbol
         return all(_is_symbol(sym, order) for sym in symbols)
     values = set(symbols)
     return min(values) >= 1 and max(values) <= order

@@ -5,16 +5,16 @@ column is a permutation of 1..n.  This module checks orders, builds every
 table (the cyclic base_square, its isotopes by apply_isotopy, and tables
 checked by validate_latin_square), multiplies, left-divides, materializes
 the left-inverse parastrophe, and owns the cipher's chain loops, one per
-direction, each carrying two levels per pass: it is the only module that
-builds a table or reads its storage.  A single level runs the loop beside
-an identity level, over the rows of the padded table (or of its inverse)
-read in place.  A frame's levels run on rows sliced from each table's
-isotopy of Z_n (chain_rows, unchain_rows), so encryption and decryption
-build no table and no inverse, even for a ciphertext that no plaintext
-encrypts to; walk runs a stream through them, its first level reading the
-stream's symbols as they are.  A row is sliced when a message first
-reaches it, so a fresh frame costs O(n) a level plus the rows its messages
-use.
+level count and direction, each walking every level in one pass: it is
+the only module that builds a table or reads its storage.  A single level
+runs the one-level loop over the rows of the padded table (or of its
+inverse) read in place.  A frame's levels run on rows sliced from each
+table's isotopy of Z_n (chain_rows, unchain_rows), so encryption and
+decryption build no table and no inverse, even for a ciphertext that no
+plaintext encrypts to; walk runs a stream through them, its first level
+reading the stream's symbols as they are.  A row is sliced when a message
+first reaches it, so a fresh frame costs O(n) a level plus the rows its
+messages use.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -26,7 +26,7 @@ else uint16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -49,6 +49,9 @@ from .errors import (
 # 64 MB, and one level's chain rows in both directions, once its inputs
 # reach every row, about 270 MB.  Symbols also fit the container's 16 bits.
 MAX_ORDER = 4096
+
+# Most levels of a profile's frames, and of the loops level_loop compiles.
+MAX_LEVELS = 16
 
 
 def table_dtype(order: int) -> type:
@@ -214,43 +217,60 @@ def left_inverse(square: LatinSquare) -> LatinSquare:
 
 # --- chain loops -------------------------------------------------------------------
 
-# Each pass walks two chained levels at once: symbol i of the second level
-# needs only symbol i of the first, so one loop carries both levels' states.
-# rows1[a] is the first level's row for state a, indexed by that level's
-# input; its entry is the first level's new state, which is also the second
-# level's input.  A level without a partner runs beside _identity_rows.
+# One pass walks every chained level, symbol i of level j+1 needing only
+# symbol i of level j: r<j> is level j's rows in walk order and s<j> its
+# state, a local variable.  Encrypt's state is the symbol it wrote, also the
+# next level's input; decrypt looks a row up before its state moves on to
+# the symbol it read, and an index past a row's end raises IndexError, on
+# which decrypt relies.  The source is filled in from k alone.
+_LOOP = """\
+def loop(rows, states, symbols):
+    {r}, = rows
+    {s}, = states
+    out = []
+    for x in symbols:
+{steps}
+        out.append({last})
+    return out
+"""
+_STEPS = ("        s{j} = r{j}[s{j}][{read}]",      # encrypt
+          "        x, s{j} = r{j}[s{j}][x], x")     # decrypt
 
-def chain_pass(rows1: list, a: int, rows2: list, b: int, symbols) -> list:
-    """Two encrypt levels in one pass: out[i] = rows2[b][a], where a and b
-    are each level's previous output, a updated first."""
-    return [(b := rows2[b][(a := rows1[a][x])]) for x in symbols]
+
+def _loop_source(k: int, inverse: bool) -> str:
+    """The source of the k-level loop: _LOOP with one _STEPS line a level."""
+    if type(k) is not int or not 1 <= k <= MAX_LEVELS:
+        raise ValueError(f"level count {k!r} is not an int in 1..{MAX_LEVELS}")
+    steps = "\n".join(_STEPS[inverse].format(j=j, read=f"s{j - 1}" if j else "x")
+                      for j in range(k))
+    return _LOOP.format(r=", ".join(f"r{j}" for j in range(k)),
+                        s=", ".join(f"s{j}" for j in range(k)), steps=steps,
+                        last="x" if inverse else f"s{k - 1}")
 
 
-def unchain_pass(rows1: list, a: int, rows2: list, b: int, symbols) -> list:
-    """Two decrypt levels in one pass: each row is looked up before its
-    level's state moves on to the symbol it just read.  An index past a
-    row's end raises IndexError, which decrypt relies on."""
-    return [rows2[b][(b := rows1[a][(a := x)])] for x in symbols]
-
-
-def _identity_rows(width: int) -> list:
-    """The rows of a level that passes 0..width-1 through unchanged; they
-    all share one list."""
-    return [list(range(width))] * width
+@lru_cache(maxsize=2 * MAX_LEVELS, typed=True)
+def level_loop(k: int, inverse: bool) -> Callable:
+    """loop(rows, states, symbols): `symbols` run through k levels in one
+    pass, level j over rows[j] from states[j]; decrypt steps if inverse.
+    Compiled once per (k, direction), k an int in 1..MAX_LEVELS."""
+    namespace = {}
+    exec(compile(_loop_source(k, inverse), f"<level_loop {k}>", "exec"),
+         {"__builtins__": {}}, namespace)
+    return namespace["loop"]
 
 
 def chain(square: LatinSquare, leader: int, symbols) -> list:
-    """Unchecked: out[1] = leader * in[1], out[i] = out[i-1] * in[i], over
-    the padded table read in place, one memoryview per row."""
+    """Unchecked: out[1] = leader * in[1], out[i] = out[i-1] * in[i], by
+    the one-level loop over the padded table, one memoryview per row."""
     rows = [memoryview(row) for row in square._padded]
-    return chain_pass(rows, leader, _identity_rows(len(rows)), 0, symbols)
+    return level_loop(1, False)([rows], [leader], symbols)
 
 
 def unchain(square: LatinSquare, leader: int, symbols) -> list:
-    """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i], over the left
-    inverse read as chain does.  A symbol above the order raises IndexError."""
+    """out[1] = leader \\ in[1], out[i] = in[i-1] \\ in[i], as chain does over
+    the left inverse.  A symbol above the order raises IndexError."""
     rows = [memoryview(row) for row in square._inverse._padded]
-    return unchain_pass(rows, leader, _identity_rows(len(rows)), 0, symbols)
+    return level_loop(1, True)([rows], [leader], symbols)
 
 
 # --- chain rows of a frame ----------------------------------------------------------
@@ -264,7 +284,7 @@ def unchain(square: LatinSquare, leader: int, symbols) -> list:
 # and no n x n table, inverse or tolist() is built.
 #
 # Rows are sliced on first use.  Every row starts as _UNSLICED, whose
-# lookup raises the IndexError that the passes let through to walk;
+# lookup raises the IndexError that the loop lets through to walk;
 # first_forged slices the rows it reaches one level at a time, and
 # slice_rows every row, both through _slice.
 
@@ -279,8 +299,8 @@ _UNSLICED = ()
 class FrameRows(NamedTuple):
     """One direction's chain rows for a frame's levels, in walk order.
 
-    rows holds each level's rows, with an identity level after an odd count
-    so that they pair up; starts maps each level's leader to its first
+    rows holds each level's rows, one list a level, and loop walks them all
+    in one pass (level_loop); starts maps each level's leader to its first
     state.  Level w's row for state a is windows[w][i:i + n] at
     i = offsets[w][a], n being half the window; until first used, rows[w][a]
     is _UNSLICED.  Level 0 reads a stream's symbols themselves: gather maps
@@ -291,16 +311,12 @@ class FrameRows(NamedTuple):
     """
 
     gather: Callable
+    loop: Callable
     rows: list
     starts: list
     windows: list
     offsets: list
     inverse: bool
-
-
-def _paired(rows: list, width: int) -> list:
-    """rows, with an identity level of the given width after an odd count."""
-    return rows + [_identity_rows(width)] if len(rows) % 2 else rows
 
 
 def chain_rows(isotopies: list) -> FrameRows:
@@ -324,7 +340,7 @@ def chain_rows(isotopies: list) -> FrameRows:
         offsets.append(level)
     rows = [[_UNSLICED] * len(code) for code in encoders]
     gather = itemgetter(0, *[b - 1 for b in isotopies[0][1]])
-    return FrameRows(gather, _paired(rows, len(encoders[-1])), encoders,
+    return FrameRows(gather, level_loop(len(rows), False), rows, encoders,
                      windows, offsets, False)
 
 
@@ -366,9 +382,8 @@ def unchain_rows(isotopies: list) -> FrameRows:
             offsets.append([None] + [(1 - x) % n for x in alpha])
     rows = [[_UNSLICED] * len(level) for level in offsets]
     starts = [list(range(len(offsets[0])))] + coords[::-1][1:]
-    return FrameRows(itemgetter(*coords[last]),
-                     _paired(rows, len(isotopies[0][0]) + 1),
-                     starts, windows, offsets, True)
+    return FrameRows(itemgetter(*coords[last]), level_loop(len(rows), True),
+                     rows, starts, windows, offsets, True)
 
 
 def _slice(rows: FrameRows, w: int, a: int):
@@ -417,40 +432,34 @@ def first_forged(rows: FrameRows, leaders, symbols):
     return None
 
 
-def _passes(loop, rows: FrameRows, leaders, symbols) -> list:
-    """Run `symbols` through a frame's rows in walk order, two levels per
-    pass of `loop` (chain_pass or unchain_pass), each level starting from
-    its leader in walk order."""
-    # an identity level after an odd count starts at 0
-    states = [*map(list.__getitem__, rows.starts, leaders), 0]
-    levels = rows.rows
-    for j in range(0, len(levels), 2):
-        symbols = loop(levels[j], states[j], levels[j + 1], states[j + 1], symbols)
-    return symbols
+def _passes(rows: FrameRows, leaders, symbols) -> list:
+    """Run `symbols` through every level of a frame's rows in one pass of
+    rows.loop, each level starting from its leader in walk order."""
+    return rows.loop(rows.rows, [*map(list.__getitem__, rows.starts, leaders)],
+                     symbols)
 
 
 def walk(rows: FrameRows, leaders, symbols) -> list:
-    """`symbols` run through a frame's rows, each level starting from its
-    leader in walk order: chain_pass for encrypt rows, unchain_pass for
-    decrypt rows.  An unsliced row's IndexError slices the rows that
-    `symbols` reach and the passes run again: every row, when `symbols` is
-    at least as long as every level's row count, else the rows first_forged
-    meets.  An IndexError with every reached row sliced is a forged
-    ciphertext's: first_forged names it, and walk raises ForgedCiphertext."""
-    loop = unchain_pass if rows.inverse else chain_pass
+    """`symbols` run through a frame's rows in one pass of rows.loop, each
+    level starting from its leader in walk order.  An unsliced row's
+    IndexError slices the rows that `symbols` reach and the pass runs
+    again: every row, when `symbols` is at least as long as every level's
+    row count, else the rows first_forged meets.  An IndexError with every
+    reached row sliced is a forged ciphertext's: first_forged names it, and
+    walk raises ForgedCiphertext."""
     try:
-        return _passes(loop, rows, leaders, symbols)
+        return _passes(rows, leaders, symbols)
     except IndexError:
         pass
     if len(symbols) >= max(map(len, rows.rows)) and slice_rows(rows):
         try:
-            return _passes(loop, rows, leaders, symbols)
+            return _passes(rows, leaders, symbols)
         except IndexError:
             pass
     forged = first_forged(rows, leaders, symbols)
     if forged:
         raise ForgedCiphertext(*forged)
-    return _passes(loop, rows, leaders, symbols)
+    return _passes(rows, leaders, symbols)
 
 
 def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,

@@ -27,9 +27,9 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
-from .latin import (MAX_ORDER, FrameRows, LatinSquare, Permutation,
-                    apply_isotopy, base_square, chain_rows, check_order,
-                    unchain_rows)
+from .latin import (MAX_LEVELS, MAX_ORDER, FrameRows, LatinSquare,
+                    Permutation, apply_isotopy, base_square, chain_rows,
+                    check_order, unchain_rows)
 from .seeds import MASK64, derive_seed, permutations_from_seeds
 
 # Default database seed: first 16 hex digits of the fractional part of pi,
@@ -37,9 +37,6 @@ from .seeds import MASK64, derive_seed, permutations_from_seeds
 DEFAULT_DB_SEED = 0x243F6A8885A308D3
 
 PROFILE_VERSION = 1
-
-# Most encryption levels a profile may name.
-MAX_LEVELS = 16
 
 # Most table entries one frame may name (split tables of order r_max, the
 # rest of order s_max): a two-level frame at the order cap.  Its chain rows

@@ -237,7 +237,7 @@ def test_one_changed_ciphertext_symbol_garbles_at_most_k_plus_one(data):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_encrypt_and_decrypt_match_the_level_by_level_walk(data):
-    # The frame's chain rows, two levels per pass, against one level at a
+    # The frame's chain rows, every level in one pass, against one level at a
     # time over get_quasigroup's tables; forged ciphertexts name the same
     # position, symbol, level and order.
     profile, frame, key = data.draw(_keyed_frames())
@@ -363,8 +363,7 @@ def _sliced(profile, frame, key, inverse):
     """How many rows of each level of the frame's memoized rows are sliced."""
     rows = qg.qgdb.frame_rows(profile, key.level_orders, frame.indices,
                               frame.nonce)[inverse]
-    return [sum(row != () for row in level)
-            for level in rows.rows[:len(rows.starts)]]
+    return [sum(row != () for row in level) for level in rows.rows]
 
 
 def _levels_undone(levels, cipher):
@@ -874,6 +873,29 @@ def test_narrow_numpy_symbols_are_judged_without_a_warning(dtype):
             qg.SymbolStream(top - 1, symbols)
         alphabet = tuple(np.arange(1, 28, dtype=dtype))
         assert qg.SymbolStream(27, alphabet).symbols == tuple(range(1, 28))
+    assert err.value.position == 1
+
+
+@pytest.mark.parametrize("dtype, top, low", [(np.int64, 2**63 - 1, 2**63 - 1),
+                                             (np.uint64, 2**64 - 1, 5)])
+def test_wide_numpy_symbols_are_judged_without_a_warning(dtype, top, low):
+    # the sum's 2**62 start plus a 64-bit maximum overflows numpy's scalar
+    # add, so these are judged one by one
+    symbols = tuple(np.array([top, low, 1], dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qg.SymbolStream(top, symbols).symbols == (top, low, 1)
+        with pytest.raises(SymbolOutOfRange) as err:
+            qg.SymbolStream(top - 1, symbols)
+    assert err.value.position == 1
+
+
+def test_float16_symbols_are_refused_without_a_warning():
+    # the sum's 2**62 start overflows float16, so they are judged one by one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SymbolOutOfRange) as err:
+            qg.SymbolStream(27, tuple(np.array([3, 5, 1], dtype=np.float16)))
     assert err.value.position == 1
 
 

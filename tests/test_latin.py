@@ -15,6 +15,7 @@ from qgcipher.errors import (
     DuplicateInColumn,
     DuplicateInRow,
     EntryOutOfRange,
+    ForgedCiphertext,
     InvalidOrder,
     NotSquare,
     SizeMismatch,
@@ -335,6 +336,95 @@ def test_format_table_at_order_1024_peaks_under_20_mb():
     assert peak < 20 * 2**20
 
 
+# --- chain loops ---------------------------------------------------------------------
+
+@st.composite
+def _isotopies(draw):
+    """1..MAX_LEVELS levels of small non-decreasing orders, each given as
+    (alpha, beta, gamma), and a leader for each."""
+    k = draw(st.integers(1, latin.MAX_LEVELS))
+    orders = sorted(draw(st.lists(st.integers(1, 7), min_size=k, max_size=k)))
+    isotopies = [tuple(tuple(draw(st.permutations(range(1, n + 1))))
+                       for _ in range(3)) for n in orders]
+    return isotopies, [draw(st.integers(1, n)) for n in orders]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_pass_walk_matches_k_single_level_steps(data):
+    # The compiled k-level loops against encrypt_level and decrypt_level
+    # over each level's table; forged ciphertexts name the same position,
+    # symbol, level and order.  Each walk runs twice, on fresh rows and on
+    # the rows the first sliced.
+    isotopies, leaders = data.draw(_isotopies())
+    squares = [qg.apply_isotopy(qg.base_square(len(iso[0])),
+                                *map(qg.Permutation, iso)) for iso in isotopies]
+    encrypt_rows = latin.chain_rows(isotopies)
+    decrypt_rows = latin.unchain_rows(isotopies)
+    plain = qg.SymbolStream(squares[0].order, data.draw(
+        st.lists(st.integers(1, squares[0].order), max_size=30)))
+    want = plain
+    for square, q in zip(squares, leaders):
+        want = qg.encrypt_level(square, q, want)
+    for _ in range(2):
+        assert latin.walk(encrypt_rows, leaders, plain.symbols) == [*want]
+        assert latin.walk(decrypt_rows, leaders[::-1], want.symbols) == [*plain]
+
+    cipher = qg.SymbolStream(squares[-1].order, data.draw(
+        st.lists(st.integers(1, squares[-1].order), max_size=30)))
+    want, forged = cipher, None
+    for level, (square, q) in reversed(list(enumerate(zip(squares, leaders), 1))):
+        outside = [(pos, sym) for pos, sym in enumerate(want.symbols, 1)
+                   if sym > square.order]
+        if outside:
+            forged = (*outside[0], level, square.order)
+            break
+        want = qg.decrypt_level(square, q, want)
+    for _ in range(2):
+        try:
+            got = latin.walk(decrypt_rows, leaders[::-1], cipher.symbols)
+        except ForgedCiphertext as exc:
+            assert (exc.position, exc.symbol, exc.level, exc.order) == forged
+        else:
+            assert forged is None and got == list(want.symbols)
+
+
+def test_a_frame_carries_the_loop_of_its_level_count():
+    isotopies = [((2, 1, 3), (3, 1, 2), (1, 3, 2))] * 3
+    assert latin.chain_rows(isotopies).loop is latin.level_loop(3, False)
+    assert latin.unchain_rows(isotopies).loop is latin.level_loop(3, True)
+    assert len(latin.chain_rows(isotopies).rows) == 3
+
+
+@pytest.mark.parametrize("k", [0, latin.MAX_LEVELS + 1, -1, 2.0, True, "2", None])
+def test_the_loop_builder_refuses_a_level_count_outside_1_to_max(k):
+    for inverse in (False, True):
+        latin.level_loop(1, inverse)    # True must not find the k = 1 loop
+        with pytest.raises(ValueError, match=f"not an int in 1..{latin.MAX_LEVELS}"):
+            latin.level_loop(k, inverse)
+    assert latin.level_loop.cache_info().maxsize == 2 * latin.MAX_LEVELS
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["encrypt", "decrypt"])
+def test_a_compiled_loop_names_only_its_template_identifiers(inverse):
+    # The source is filled in from k alone: no name, constant, call or
+    # import enters it but the template's, whatever k is.
+    for k in range(1, latin.MAX_LEVELS + 1):
+        levels = {f"r{j}" for j in range(k)} | {f"s{j}" for j in range(k)}
+        tree = ast.parse(latin._loop_source(k, inverse))
+        assert _names(tree) == {"rows", "states", "symbols", "x", "out",
+                                "append"} | levels
+        assert not [node for node in ast.walk(tree) if isinstance(
+            node, (ast.Constant, ast.Import, ast.ImportFrom, ast.Lambda))]
+        assert [node.func.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Call)] == ["append"]
+        code = latin.level_loop(k, inverse).__code__
+        assert set(code.co_names) == {"append"}
+        assert set(code.co_varnames) == {"rows", "states", "symbols", "x",
+                                         "out"} | levels
+        assert latin.level_loop(k, inverse) is latin.level_loop(k, inverse)
+
+
 # --- structure -------------------------------------------------------------------------
 
 def test_only_latin_reads_table_storage():
@@ -353,8 +443,8 @@ def test_only_latin_reads_table_storage():
 
 def test_only_latin_builds_tables_and_walks_rows():
     # The table layout and the frame walk can change in latin.py alone.
-    walkers = {"chain_pass", "unchain_pass", "slice_rows", "first_forged",
-               "_UNSLICED"}
+    walkers = {"level_loop", "_LOOP", "_STEPS", "slice_rows", "first_forged",
+               "_UNSLICED", "exec", "compile"}
     builders, walking = set(), set()
     for path in Path(latin.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -375,9 +465,13 @@ def test_only_latin_builds_tables_and_walks_rows():
 
 def test_the_passes_read_stream_symbols_with_no_entry_map():
     # level 0's rows are gathered so that stream symbols index them: neither
-    # the passes nor first_forged maps a stream before its first level
+    # the passes, their compiled loops nor first_forged maps a stream before
+    # its first level
     for fn in (latin._passes, latin.first_forged):
         assert "entry" not in _names(ast.parse(inspect.getsource(fn)))
+    for k in range(1, latin.MAX_LEVELS + 1):
+        for inverse in (False, True):
+            assert "entry" not in _names(ast.parse(latin._loop_source(k, inverse)))
     assert "entry" not in latin.FrameRows._fields
 
 
