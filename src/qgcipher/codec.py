@@ -16,13 +16,11 @@ of its set for the range; the text edge and the levels, whose outputs are
 in range by construction, skip the check.  symbols_to_text judges the
 bytes it builds from the symbols, with no scan of its own.  encrypt and
 decrypt keep only the checks: keying.check_key, which judges the frame as
-derive_hidden_key does and the key against it (a key derived from this very
-profile and frame object was judged when derived and passes at once), then
-the stream's range.
-The rest is latin.walk over the direction's half of qgdb.frame_rows, which
-checks nothing, builds a frame's rows for both directions from one draw of
-its permutations and memoizes the last frame's pair; walk slices rows on
-first use and raises ForgedCiphertext.
+derive_hidden_key does and the key against it and hands back the frame's
+rows for both directions (a key derived from this very profile and frame
+object was judged when derived, and holds its rows), then the stream's
+range.  The rest is latin.walk over the direction's half of the rows;
+walk slices rows on first use and raises ForgedCiphertext.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -49,7 +47,7 @@ from .keying import HiddenKey, KeyFrame, check_key
 from .latin import LatinSquare, chain, unchain, walk
 # ALPHABETS, LATIN41 and get_alphabet are imported for callers of codec.
 from .qgdb import (ALPHABETS, LATIN27, LATIN41, Alphabet,  # noqa: F401
-                   NetworkProfile, frame_rows, get_alphabet)
+                   NetworkProfile, get_alphabet)
 
 
 @dataclass(frozen=True)
@@ -218,11 +216,10 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     and the j-th multiplier as leader.  Plaintext symbols must fit the
     first table (1..r); the result has order s.
     """
-    check_key(profile, frame, key)
+    rows, _ = check_key(profile, frame, key)
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
-    rows, _ = frame_rows(profile, key.level_orders, frame.indices, frame.nonce)
     return SymbolStream._trusted(frame.s, walk(
         rows, key.multipliers, plaintext.symbols))
 
@@ -238,11 +235,10 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     order-r level then raises ForgedCiphertext.  The rows mark such a
     symbol, and latin.walk names its position, level and order.
     """
-    check_key(profile, frame, key)
+    _, rows = check_key(profile, frame, key)
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
-    _, rows = frame_rows(profile, key.level_orders, frame.indices, frame.nonce)
     return SymbolStream._trusted(frame.r, walk(
         rows, key.multipliers[::-1], ciphertext.symbols))
 

@@ -16,10 +16,10 @@ derivation and the cipher need only the structural part.
 
 A node derives its key once per frame and sends many messages under it,
 so a key remembers the (profile, frame) pair derive_hidden_key judged it
-on, when that frame's indices are a tuple and so cannot change.  check_key
-passes such a key at once for those very objects; any other key, or the
-same key with another profile or frame object, equal or not, is judged in
-full.
+on, when that frame's indices are a tuple and so cannot change, and holds
+that frame's rows once used.  check_key passes such a key at once for
+those very objects, with its rows; any other key, or the same key with
+another profile or frame object, equal or not, is judged in full.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 from .errors import FrameInvalid, KeyMismatch
-from .qgdb import NetworkProfile, _conforms, _read_json_file
+from .qgdb import NetworkProfile, _conforms, _read_json_file, frame_rows
 from .seeds import SplitMix64, derive_seed
 
 FRAME_VERSION = 1
@@ -58,12 +59,22 @@ class HiddenKey:
 
     source is the (profile, frame) pair derive_hidden_key judged the key
     on, or None for any other key; it takes no part in equality, hashing
-    or repr, and dataclasses.replace resets it."""
+    or repr, and dataclasses.replace resets it.  Such a key builds that
+    frame's rows (qgdb.frame_rows) on first use and keeps them while it
+    lives, outside equality, hashing, repr and its pickled state."""
 
     multipliers: tuple
     level_orders: tuple
     source: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
+
+    @cached_property
+    def _own_rows(self) -> tuple:
+        profile, frame = self.source
+        return frame_rows(profile, self.level_orders, frame.indices, frame.nonce)
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_own_rows"}
 
 
 class FrameStatus(enum.Enum):
@@ -175,16 +186,17 @@ def validate_frame(profile: NetworkProfile, frame: KeyFrame,
     return FrameVerdict(FrameStatus.VALID)
 
 
-def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> None:
+def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> tuple:
     """Raise KeyMismatch unless the frame's index count fits the profile's
     levels, FrameInvalid with derive_hidden_key's reason for a frame it
-    refuses, then KeyMismatch unless the key fits the frame.
+    refuses, then KeyMismatch unless the key fits the frame; then return
+    the frame's rows, (latin.chain_rows, latin.unchain_rows).
 
     A key derive_hidden_key built from this very profile and frame object
-    fits by construction and returns at once."""
+    fits by construction and returns its own rows at once."""
     source = key.source
     if source is not None and source[0] is profile and source[1] is frame:
-        return
+        return key._own_rows
     orders = level_orders(profile, frame)
     if len(frame.indices) != len(orders):
         raise KeyMismatch(f"expected {len(orders)} frame indices, "
@@ -203,6 +215,7 @@ def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> None:
             raise KeyMismatch(f"multiplier {q!r} at level {j} is not an integer")
         if not 1 <= q <= n_j:
             raise KeyMismatch(f"multiplier {q} at level {j} outside 1..{n_j}")
+    return frame_rows(profile, key.level_orders, frame.indices, frame.nonce)
 
 
 # --- frame file format -------------------------------------------------------

@@ -11,8 +11,8 @@ index changes whenever the authority rotates the nonce.
 This module only draws the permutations; latin builds whatever is made
 from them.  The cipher needs no table: frame_rows draws a frame's
 permutations once and hands them to latin, which builds both directions'
-chain rows from them.  The one memo is the last frame's pair of rows.
-frame_rows checks nothing: its frame is one keying has judged.
+chain rows from them.  It keeps nothing (a derived key holds the pair)
+and checks nothing: its frame is one keying has judged.
 get_quasigroup has latin apply the isotopy to its base square, for the API,
 and keeps no table; it judges its own arguments, which come from outside.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Mapping
 
 from .errors import IndexOutOfRange, InvalidOrder, ProfileInvalid, SymbolOutOfRange
@@ -291,7 +290,7 @@ def _isotopy(db_seed: int, order: int, indices, nonce: int) -> list:
     """The permutations (alpha, beta, gamma) of each table (order, index,
     nonce), index by index, each a tuple of 1..order, from one batch of
     draws: each seed's draws do not depend on the others.  Uncached:
-    _frame_rows draws each order's levels once per frame."""
+    frame_rows draws each order's levels once per call."""
     perms = list(map(tuple, permutations_from_seeds(
         [derive_seed((db_seed, order, index, nonce, tag))
          for index in indices for tag in (1, 2, 3)], order)))
@@ -322,27 +321,19 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
     return apply_isotopy(base_square(order), *map(Permutation, isotopy))
 
 
-# The last frame's rows, both directions: a node encrypts and decrypts under
-# its current frame until the next rekey.
-@lru_cache(maxsize=1)
-def _frame_rows(db_seed: int, orders: tuple, indices: tuple, nonce: int) -> tuple:
-    levels = {}                 # order -> its levels' indices, level 1 first
-    for order, index in zip(orders, indices):
-        levels.setdefault(order, []).append(index)
-    drawn = {order: iter(_isotopy(db_seed, order, group, nonce))
-             for order, group in levels.items()}
-    isotopies = [next(drawn[order]) for order in orders]
-    return chain_rows(isotopies), unchain_rows(isotopies)
-
-
 def frame_rows(profile: NetworkProfile, orders: tuple, indices,
                nonce: int) -> tuple[FrameRows, FrameRows]:
     """The chain rows of a frame that keying has judged, its levels' orders
     and indices given level 1 first: (latin.chain_rows, latin.unchain_rows),
     both built from one draw of the levels' permutations, one batch per
-    order.  Nothing is checked here, and neither a table nor its inverse is
-    built.  The pair is memoized for the last frame, keyed by the profile's
-    db_seed, the orders, the indices and the nonce, and each row is sliced
-    in place when a message first reaches it.
+    order.  Nothing is checked here, neither a table nor its inverse is
+    built, and nothing is kept: the caller holds the pair, whose rows are
+    sliced in place when a message first reaches them.
     """
-    return _frame_rows(profile.db_seed, orders, tuple(indices), nonce)
+    levels = {}                 # order -> its levels' indices, level 1 first
+    for order, index in zip(orders, indices):
+        levels.setdefault(order, []).append(index)
+    drawn = {order: iter(_isotopy(profile.db_seed, order, group, nonce))
+             for order, group in levels.items()}
+    isotopies = [next(drawn[order]) for order in orders]
+    return chain_rows(isotopies), unchain_rows(isotopies)

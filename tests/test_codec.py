@@ -355,15 +355,11 @@ def test_decrypt_is_local(data):
 
 # --- rows sliced on first use --------------------------------------------------------
 
-def _clear_frame_caches():
-    qg.qgdb._frame_rows.cache_clear()
-
-
-def _sliced(profile, frame, key, inverse):
-    """How many rows of each level of the frame's memoized rows are sliced."""
-    rows = qg.qgdb.frame_rows(profile, key.level_orders, frame.indices,
-                              frame.nonce)[inverse]
-    return [sum(row != () for row in level) for level in rows.rows]
+def _sliced(key, inverse):
+    """How many rows of each level of the derived key's own rows are
+    sliced."""
+    return [sum(row != () for row in level)
+            for level in key._own_rows[inverse].rows]
 
 
 def _levels_undone(levels, cipher):
@@ -387,17 +383,16 @@ def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
     # (s + 1 in both directions), slices at most one row per symbol
     # in each level, a forged one included, and a plaintext only the rows
     # of the states its levels pass through.
-    profile, frame, key = data.draw(_keyed_frames())
+    profile, frame, key = data.draw(_keyed_frames())   # a fresh key: cold rows
     levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
               for order, index, q in zip(key.level_orders, frame.indices,
                                           key.multipliers)]
     near = sorted({max(1, n + d) for n in (frame.r, frame.s) for d in (-1, 0, 1, 2)})
     lengths = st.one_of(st.integers(1, 12), st.sampled_from(near))
-    _clear_frame_caches()
     for _ in range(data.draw(st.integers(1, 4))):
         kind = data.draw(st.sampled_from(["plain", "cipher", "forged"]))
         length = data.draw(lengths)
-        before = [_sliced(profile, frame, key, inverse) for inverse in (False, True)]
+        before = [_sliced(key, inverse) for inverse in (False, True)]
         reached = [length] * len(levels)
         if kind == "plain":
             plain = qg.SymbolStream(frame.r, data.draw(
@@ -430,7 +425,7 @@ def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
             else:
                 assert forged is None and got.symbols == want.symbols
         if length < frame.s:
-            after = [_sliced(profile, frame, key, inverse) for inverse in (False, True)]
+            after = [_sliced(key, inverse) for inverse in (False, True)]
             # decrypt walks the levels last first
             for old, new, most in zip(sum(before, []), sum(after, []),
                                       reached + reached[::-1]):
@@ -440,13 +435,12 @@ def test_rows_sliced_on_first_use_match_the_level_by_level_walk(data):
 def test_a_cold_short_message_slices_few_rows(profile):
     # The seed-7 frame (r = 51, s = 171) has 52 to 172 rows a level; a
     # round trip of 9 symbols reaches at most 9 of them in each.
-    frame, key = _material(profile)
+    frame, key = _material(profile)      # a fresh key: cold rows
     plain = qg.text_to_symbols("STATUS OK")
-    _clear_frame_caches()
     cipher = qg.encrypt(profile, frame, key, plain)
     assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
     for inverse in (False, True):
-        assert max(_sliced(profile, frame, key, inverse)) <= 10
+        assert max(_sliced(key, inverse)) <= 10
 
 
 def test_a_cold_frame_at_the_order_cap_holds_only_the_rows_it_reaches():
@@ -455,9 +449,8 @@ def test_a_cold_frame_at_the_order_cap_holds_only_the_rows_it_reaches():
     # a level.
     profile = dataclasses.replace(qg.default_profile(), r_min=4095, r_max=4095,
                                   s_max=4096, level_count=2, split=1)
-    frame, key = _material(profile)
+    frame, key = _material(profile)      # a fresh key: cold rows
     plain = qg.text_to_symbols("STATUS OK")
-    _clear_frame_caches()
     tracemalloc.start()
     try:
         cipher = qg.encrypt(profile, frame, key, plain)
@@ -470,10 +463,13 @@ def test_a_cold_frame_at_the_order_cap_holds_only_the_rows_it_reaches():
 
 
 def test_threads_slicing_one_cold_frame_agree(profile):
-    # Every thread reads and slices the same memoized rows in place; a row
-    # sliced by two threads at once is sliced the same, so each round trip
-    # still matches the level-by-level walk.  Lengths lie below, between
-    # and above the seed-7 frame's row counts (51 to 172).
+    # Every thread reads and slices one key's rows in place; a row sliced
+    # by two threads at once is sliced the same, so each round trip still
+    # matches the level-by-level walk.  Each round derives a fresh key, so
+    # it starts cold.  functools.cached_property takes no lock from Python
+    # 3.12 on, so there two threads may each build the key's rows once,
+    # and each walks the pair it built.  Lengths lie below, between and
+    # above the seed-7 frame's row counts (51 to 172).
     frame, key = _material(profile)
     levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
               for order, index, q in zip(key.level_orders, frame.indices,
@@ -488,7 +484,7 @@ def test_threads_slicing_one_cold_frame_agree(profile):
             want = qg.encrypt_level(square, q, want)
         wants.append(want.symbols)
 
-    def round_trip(i):
+    def round_trip(key, i):
         cipher = qg.encrypt(profile, frame, key, messages[i])
         return cipher.symbols, qg.decrypt(profile, frame, key, cipher).symbols
 
@@ -497,8 +493,9 @@ def test_threads_slicing_one_cold_frame_agree(profile):
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
             for _ in range(10):
-                _clear_frame_caches()
-                futures = [pool.submit(round_trip, i) for i in range(len(messages))]
+                key = qg.derive_hidden_key(profile, frame)
+                futures = [pool.submit(round_trip, key, i)
+                           for i in range(len(messages))]
                 for plain, want, future in zip(messages, wants, futures):
                     assert future.result(timeout=60) == (want, plain.symbols)
     finally:
@@ -545,10 +542,9 @@ def test_a_forged_ciphertext_on_sliced_rows_runs_the_passes_once(
         profile, monkeypatch, length):
     # Once the rows it reaches are sliced, a forged ciphertext costs one
     # pass and the walk that names it, on either side of the row counts.
-    frame, key = _material(profile)
+    frame, key = _material(profile)      # a fresh key: cold rows
     forged = qg.SymbolStream(frame.s, ((170, 3, 150, 12, 99, 171, 1, 160)
                                        * 50)[:length])
-    _clear_frame_caches()
     with pytest.raises(ForgedCiphertext):
         qg.decrypt(profile, frame, key, forged)
     passes, run = [], qg.latin._passes
@@ -689,12 +685,11 @@ def test_cipher_refuses_every_frame_keying_refuses(profile, run, field,
     def no_draw(*args):
         raise AssertionError("a permutation was drawn")
 
-    qg.qgdb._frame_rows.cache_clear()
     monkeypatch.setattr(qg.qgdb, "_isotopy", no_draw)
     with pytest.raises(FrameInvalid) as exc:
         run(profile, frame, key, qg.SymbolStream(1, (1,)))
     assert str(exc.value) == str(refused.value)
-    assert qg.qgdb._frame_rows.cache_info().currsize == 0
+    assert "_own_rows" not in vars(key)       # the key holds no rows
 
 
 # --- text mapping -------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -106,13 +108,12 @@ def test_frame_orders_must_fit_the_profile(profile, orders, reason,
     def no_draw(*args):
         raise AssertionError("a permutation was drawn")
 
-    qg.qgdb._frame_rows.cache_clear()
+    # no permutation drawn and no chain row built: only keying builds rows
     monkeypatch.setattr(qg.qgdb, "_isotopy", no_draw)
+    monkeypatch.setattr(keying, "frame_rows", no_draw)
     with pytest.raises(FrameInvalid, match=reason):
         qg.derive_hidden_key(profile, frame)
     assert qg.validate_frame(profile, frame, now=0).reason == reason
-    # no permutation drawn and no chain row built
-    assert qg.qgdb._frame_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("field, reason", [
@@ -231,6 +232,65 @@ def test_a_list_indexed_frame_changed_after_derivation_is_refused(profile, run):
     with pytest.raises(FrameInvalid,
                        match=f"^index 0 at level 1 outside 1..{profile.index_max}$"):
         run(profile, frame, key, qg.SymbolStream(1, (1,)))
+
+
+def _count_draws(monkeypatch):
+    """Record every qgdb._isotopy call from here on."""
+    real = qg.qgdb._isotopy
+    draws = []
+    monkeypatch.setattr(qg.qgdb, "_isotopy",
+                        lambda *args: draws.append(args) or real(*args))
+    return draws
+
+
+def test_alternating_frames_draw_each_frames_permutations_once(profile,
+                                                               monkeypatch):
+    # a receiver holding an old and a new frame: each derived key keeps its
+    # own frame's rows, so switching between them draws nothing
+    keyed = [(frame, qg.derive_hidden_key(profile, frame))
+             for frame in (qg.generate_frame(profile, 7),
+                           qg.generate_frame(profile, 8))]
+    plain = qg.text_to_symbols("STATUS OK")
+    draws = _count_draws(monkeypatch)
+    for _ in range(100):
+        for frame, key in keyed:
+            cipher = qg.encrypt(profile, frame, key, plain)
+            assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+    # two orders a frame, one batch each
+    assert len(draws) == 4
+
+
+def test_a_hand_built_key_draws_on_every_call_and_keeps_no_rows(profile,
+                                                                monkeypatch):
+    frame = qg.generate_frame(profile, 7)
+    key = _hand_built(qg.derive_hidden_key(profile, frame))
+    plain = qg.text_to_symbols("STATUS OK")
+    draws = _count_draws(monkeypatch)
+    for _ in range(3):
+        cipher = qg.encrypt(profile, frame, key, plain)
+        assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+    assert len(draws) == 3 * 2 * 2
+    assert "_own_rows" not in vars(key)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda key: pickle.loads(pickle.dumps(key)), copy.deepcopy],
+    ids=["pickle", "deepcopy"])
+def test_a_used_derived_key_pickles_and_deep_copies(profile, duplicate,
+                                                    monkeypatch):
+    frame = qg.generate_frame(profile, 7)
+    key = qg.derive_hidden_key(profile, frame)
+    plain = qg.text_to_symbols("ATTACK AT DAWN")
+    cipher = qg.encrypt(profile, frame, key, plain)
+    assert "_own_rows" in vars(key)
+    twin = duplicate(key)
+    assert twin == key and "_own_rows" not in vars(twin)
+    # its source holds copies of the profile and frame, so it is judged in
+    # full against the originals
+    judged = _count_judgments(monkeypatch)
+    assert qg.encrypt(profile, frame, twin, plain) == cipher
+    assert qg.decrypt(profile, frame, twin, cipher).symbols == plain.symbols
+    assert judged == [(profile, frame)] * 2
 
 
 # values a frame's field may be changed to: valid or not for the default

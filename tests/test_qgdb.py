@@ -176,32 +176,33 @@ def test_frame_rows_check_nothing_and_build_no_tuple(profile, monkeypatch):
     # keying.check_key judges the frame before the cipher asks for its
     # rows, so the rows name no check and raise nothing
     assert not hasattr(qg.qgdb, "_check_table")
-    for fn in (qg.qgdb.frame_rows, qg.qgdb._frame_rows):
-        assert not _named(fn) & {"check_order", "_conforms", "index_max",
-                                 "raise"}
-    # the key's orders and the frame's indices reach the memo as they are
+    assert not _named(qg.qgdb.frame_rows) & {"check_order", "_conforms",
+                                             "index_max", "raise"}
+    # a derived key builds its rows once, from the key's orders and the
+    # frame's indices as they are
     frame = qg.generate_frame(profile, 7)
     key = qg.derive_hidden_key(profile, frame)
-    seen, memo = [], qg.qgdb._frame_rows
-    monkeypatch.setattr(qg.qgdb, "_frame_rows",
-                        lambda *args: seen.append(args) or memo(*args))
+    seen, build = [], qg.keying.frame_rows
+    monkeypatch.setattr(qg.keying, "frame_rows",
+                        lambda *args: seen.append(args) or build(*args))
     plain = qg.text_to_symbols("ATTACK AT DAWN")
     qg.decrypt(profile, frame, key, qg.encrypt(profile, frame, key, plain))
-    assert len(seen) == 2
-    for db_seed, orders, indices, nonce in seen:
-        assert orders is key.level_orders and indices is frame.indices
-        assert (db_seed, nonce) == (profile.db_seed, frame.nonce)
-    # a list of indices still keys the memo
-    rows = qg.qgdb.frame_rows(profile, key.level_orders, list(frame.indices),
-                              frame.nonce)
-    assert rows is memo(profile.db_seed, key.level_orders, frame.indices,
-                        frame.nonce)
+    [(owner, orders, indices, nonce)] = seen
+    assert owner is profile and nonce == frame.nonce
+    assert orders is key.level_orders and indices is frame.indices
+    # a list of indices builds the same rows
+    listed = qg.qgdb.frame_rows(profile, key.level_orders, list(frame.indices),
+                                frame.nonce)
+    for got, own in zip(listed, key._own_rows):
+        assert (got.starts, got.windows, got.offsets, got.inverse) == (
+            own.starts, own.windows, own.offsets, own.inverse)
 
 
 def test_table_cache_holds_one_frame_at_the_level_cap(monkeypatch):
     # every level a distinct table: the frame's permutations are drawn once,
     # in one batch per order, and both directions' rows are built from that
-    # one draw, so decrypting right after encrypting finds its rows memoized
+    # one draw and kept on the key, so decrypting right after encrypting,
+    # and a second round trip, find their rows there
     k = qg.qgdb.MAX_LEVELS
     profile = qg.NetworkProfile(level_count=k, split=k // 2)
     frame = qg.KeyFrame(r=40, s=50, indices=tuple(range(1, k + 1)), nonce=500)
@@ -210,12 +211,9 @@ def test_table_cache_holds_one_frame_at_the_level_cap(monkeypatch):
     drawn, isotopy = [], qg.qgdb._isotopy
     monkeypatch.setattr(qg.qgdb, "_isotopy",
                         lambda *args: drawn.append(args) or isotopy(*args))
-    cache = qg.qgdb._frame_rows
-    cache.cache_clear()
     for _ in range(2):
         cipher = qg.encrypt(profile, frame, key, plain)
         assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 3)
     assert [(order, len(indices)) for _, order, indices, _ in drawn] == [
         (40, k // 2), (50, k // 2)]
 
