@@ -17,10 +17,11 @@ in range by construction, skip the check.  symbols_to_text judges the
 bytes it builds from the symbols, with no scan of its own.  encrypt and
 decrypt keep only the checks: keying.check_key, which judges the frame as
 derive_hidden_key does and the key against it and hands back the frame's
-rows for both directions (a key derived from this very profile and frame
-object was judged when derived, and holds its rows), then the stream's
-range.  The rest is latin.walk over the direction's half of the rows;
-walk slices rows on first use and raises ForgedCiphertext.
+rows for both directions, started from the key's leaders (a key derived
+from this very profile and frame object was judged when derived, and
+holds its rows), then the stream's range.  The rest is latin.walk over
+the direction's half of the rows, in its walk order; walk slices rows on
+first use and raises ForgedCiphertext.
 
 Text handling lives here too, over the alphabets defined with the profile
 in qgdb (re-exported from this module).
@@ -220,8 +221,7 @@ def encrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     if _exceeds(plaintext, frame.r):
         raise PlaintextSymbolTooLarge(*_first_outside(plaintext.symbols, frame.r),
                                       frame.r)
-    return SymbolStream._trusted(frame.s, walk(
-        rows, key.multipliers, plaintext.symbols))
+    return SymbolStream._trusted(frame.s, walk(rows, plaintext.symbols))
 
 
 def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
@@ -239,8 +239,7 @@ def decrypt(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey,
     if _exceeds(ciphertext, frame.s):
         raise CiphertextSymbolTooLarge(*_first_outside(ciphertext.symbols, frame.s),
                                        frame.s)
-    return SymbolStream._trusted(frame.r, walk(
-        rows, key.multipliers[::-1], ciphertext.symbols))
+    return SymbolStream._trusted(frame.r, walk(rows, ciphertext.symbols))
 
 
 # --- ciphertext container -------------------------------------------------------

@@ -60,8 +60,9 @@ class HiddenKey:
     source is the (profile, frame) pair derive_hidden_key judged the key
     on, or None for any other key; it takes no part in equality, hashing
     or repr, and dataclasses.replace resets it.  Such a key builds that
-    frame's rows (qgdb.frame_rows) on first use and keeps them while it
-    lives, outside equality, hashing, repr and its pickled state."""
+    frame's rows (qgdb.frame_rows), started from its multipliers, on first
+    use and keeps them while it lives, outside equality, hashing, repr and
+    its pickled state."""
 
     multipliers: tuple
     level_orders: tuple
@@ -71,7 +72,8 @@ class HiddenKey:
     @cached_property
     def _own_rows(self) -> tuple:
         profile, frame = self.source
-        return frame_rows(profile, self.level_orders, frame.indices, frame.nonce)
+        return frame_rows(profile, self.level_orders, frame.indices, frame.nonce,
+                          self.multipliers)
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if k != "_own_rows"}
@@ -190,7 +192,8 @@ def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> tuple
     """Raise KeyMismatch unless the frame's index count fits the profile's
     levels, FrameInvalid with derive_hidden_key's reason for a frame it
     refuses, then KeyMismatch unless the key fits the frame; then return
-    the frame's rows, (latin.chain_rows, latin.unchain_rows).
+    the frame's rows started from the key's multipliers, (latin.chain_rows,
+    latin.unchain_rows).
 
     A key derive_hidden_key built from this very profile and frame object
     fits by construction and returns its own rows at once."""
@@ -215,7 +218,8 @@ def check_key(profile: NetworkProfile, frame: KeyFrame, key: HiddenKey) -> tuple
             raise KeyMismatch(f"multiplier {q!r} at level {j} is not an integer")
         if not 1 <= q <= n_j:
             raise KeyMismatch(f"multiplier {q} at level {j} outside 1..{n_j}")
-    return frame_rows(profile, key.level_orders, frame.indices, frame.nonce)
+    return frame_rows(profile, key.level_orders, frame.indices, frame.nonce,
+                      key.multipliers)
 
 
 # --- frame file format -------------------------------------------------------

@@ -9,12 +9,12 @@ level count and direction, each walking every level in one pass: it is
 the only module that builds a table or reads its storage.  A single level
 runs the one-level loop over the rows of the padded table (or of its
 inverse) read in place.  A frame's levels run on rows sliced from each
-table's isotopy of Z_n (chain_rows, unchain_rows), so encryption and
-decryption build no table and no inverse, even for a ciphertext that no
-plaintext encrypts to; walk runs a stream through them, its first level
-reading the stream's symbols as they are.  A row is sliced when a message
-first reaches it, so a fresh frame costs O(n) a level plus the rows its
-messages use.
+table's isotopy of Z_n and started from the key's leaders (chain_rows,
+unchain_rows), so encryption and decryption build no table and no
+inverse, even for a ciphertext that no plaintext encrypts to; walk runs a
+stream through them, its first level reading the stream's symbols as they
+are.  A row is sliced when a message first reaches it, so a fresh frame
+costs O(n) a level plus the rows its messages use.
 
 All interfaces speak 1-indexed symbols, matching the usual way these
 tables are printed, and so does storage: one (n+1) x (n+1) numpy array
@@ -285,23 +285,24 @@ def unchain(square: LatinSquare, leader: int, symbols) -> list:
 #
 # Rows are sliced on first use.  Every row starts as _UNSLICED, whose
 # lookup raises the IndexError that the loop lets through to walk;
-# first_forged slices the rows it reaches one level at a time, and
+# walk_levels slices the rows it reaches one level at a time, and
 # slice_rows every row, both through _slice.
 
 # Decrypt's mark for a symbol y above the next level's order is _FORGED + y:
 # an index past the end of any row, so that its next lookup raises
-# IndexError, from which first_forged recovers y.
+# IndexError, from which walk_levels recovers y.
 _FORGED = 1 << 62
 
 _UNSLICED = ()
 
 
 class FrameRows(NamedTuple):
-    """One direction's chain rows for a frame's levels, in walk order.
+    """One direction's chain rows for a frame's levels and a key's leaders,
+    in walk order.
 
     rows holds each level's rows, one list a level, and loop walks them all
-    in one pass (level_loop); starts maps each level's leader to its first
-    state.  Level w's row for state a is windows[w][i:i + n] at
+    in one pass (level_loop) from states, each level's first state: its
+    leader's.  Level w's row for state a is windows[w][i:i + n] at
     i = offsets[w][a], n being half the window; until first used, rows[w][a]
     is _UNSLICED.  Level 0 reads a stream's symbols themselves: gather maps
     its row, once sliced, to the entries at the coordinates of symbols
@@ -313,21 +314,23 @@ class FrameRows(NamedTuple):
     gather: Callable
     loop: Callable
     rows: list
-    starts: list
+    states: list
     windows: list
     offsets: list
     inverse: bool
 
 
-def chain_rows(isotopies: list) -> FrameRows:
-    """The encrypt rows of levels 1..k, each given as (alpha, beta, gamma).
+def chain_rows(isotopies: list, leaders) -> FrameRows:
+    """The encrypt rows of levels 1..k, each given as (alpha, beta, gamma),
+    with leaders given level 1 first.
 
     Level j's state is E_j[s] = beta_{j+1}[s-1] - 1 for its output s, the
     column coordinate of level j+1; E_k is the identity, so the last level
-    yields ciphertext symbols.  Then rows_j[E_j[s]] is F_j[alpha_j[s-1]-1:]
-    cut to n_j entries, with F_j = [E_j[g] for g in gamma_j] twice over.
-    Level 1's rows are gathered through beta_1's coordinates, so that
-    plaintext symbols index them.
+    yields ciphertext symbols, and level j starts at E_j[q_j].  Then
+    rows_j[E_j[s]] is F_j[alpha_j[s-1]-1:] cut to n_j entries, with
+    F_j = [E_j[g] for g in gamma_j] twice over.  Level 1's rows are
+    gathered through beta_1's coordinates, so that plaintext symbols index
+    them.
     """
     encoders = [[0] + [b - 1 for b in beta] for _, beta, _ in isotopies[1:]]
     encoders.append(list(range(len(isotopies[-1][0]) + 1)))
@@ -340,23 +343,24 @@ def chain_rows(isotopies: list) -> FrameRows:
         offsets.append(level)
     rows = [[_UNSLICED] * len(code) for code in encoders]
     gather = itemgetter(0, *[b - 1 for b in isotopies[0][1]])
-    return FrameRows(gather, level_loop(len(rows), False), rows, encoders,
+    return FrameRows(gather, level_loop(len(rows), False), rows,
+                     [*map(list.__getitem__, encoders, leaders)],
                      windows, offsets, False)
 
 
-def unchain_rows(isotopies: list) -> FrameRows:
+def unchain_rows(isotopies: list, leaders) -> FrameRows:
     """The decrypt rows of levels k..1, each given as (alpha, beta, gamma)
-    for levels 1..k.
+    for levels 1..k, with leaders given level 1 first.
 
     Level j's symbols are carried as gamma_j's inverse gi_j, the table's Z_n
     coordinate.  Left division x \\ z is binv_j[(gi_j[z] - alpha_j[x-1] + 1)
     mod n_j], binv_j being beta_j's inverse on Z_n, so rows_j[gi_j[x]] is the
     window F_j[i:i + n_j] at i = (1 - alpha_j[x-1]) mod n_j of F_j, binv_j
-    coded as level j-1's coordinates, twice over.  A symbol y above n_{j-1}
-    is coded as _FORGED + y.  Level 1's F holds the plaintext symbols.
-    Level k reads ciphertext symbols: its rows are gathered through gi_k,
-    its state z has offset (1 - alpha_k[z-1]) mod n_k, and leader q starts
-    at state q.
+    coded as level j-1's coordinates, twice over, and level j starts at
+    gi_j[q_j].  A symbol y above n_{j-1} is coded as _FORGED + y.  Level 1's
+    F holds the plaintext symbols.  Level k reads ciphertext symbols: its
+    rows are gathered through gi_k, its state z has offset
+    (1 - alpha_k[z-1]) mod n_k, and it starts at state q_k.
     """
     coords = []                 # gi_j: symbol -> coordinate, index 0 unused
     for _, _, gamma in isotopies:
@@ -364,7 +368,7 @@ def unchain_rows(isotopies: list) -> FrameRows:
         for i, g in enumerate(gamma):
             gi[g] = i
         coords.append(gi)
-    windows, offsets = [], []
+    windows, offsets, states = [], [], []
     last = len(isotopies) - 1
     for j in range(last, -1, -1):
         alpha, beta, gamma = isotopies[j]
@@ -378,12 +382,13 @@ def unchain_rows(isotopies: list) -> FrameRows:
         windows.append(binv * 2)
         if j < last:
             offsets.append([(1 - alpha[g - 1]) % n for g in gamma])
+            states.append(coords[j][leaders[j]])
         else:                   # the state is the symbol; 0 is unused
             offsets.append([None] + [(1 - x) % n for x in alpha])
+            states.append(leaders[j])
     rows = [[_UNSLICED] * len(level) for level in offsets]
-    starts = [list(range(len(offsets[0])))] + coords[::-1][1:]
     return FrameRows(itemgetter(*coords[last]), level_loop(len(rows), True),
-                     rows, starts, windows, offsets, True)
+                     rows, states, windows, offsets, True)
 
 
 def _slice(rows: FrameRows, w: int, a: int):
@@ -409,57 +414,45 @@ def slice_rows(rows: FrameRows) -> int:
     return count
 
 
-def first_forged(rows: FrameRows, leaders, symbols):
-    """Walk `symbols` through the rows one level at a time, slicing each
-    unsliced row it meets, to the first symbol coded as above the next
-    level's order.  Return it as (position, symbol, level, order), levels
-    numbered 1..k from the plaintext side and order being that level's, or
-    None if no level yields one."""
-    k = len(rows.starts)
-    for w, (level, start, leader) in enumerate(zip(rows.rows, rows.starts, leaders)):
-        a, out = start[leader], []
+def walk_levels(rows: FrameRows, symbols) -> list:
+    """`symbols` walked through the rows one level at a time, slicing each
+    unsliced row it meets.  The first symbol coded as above the next
+    level's order raises ForgedCiphertext with its position, symbol, level
+    (numbered 1..k from the plaintext side) and that level's order."""
+    k = len(rows.states)
+    for w, (level, a) in enumerate(zip(rows.rows, rows.states)):
+        out = []
         for position, x in enumerate(symbols, 1):
             row = level[a]
             if row is _UNSLICED:
                 row = _slice(rows, w, a)
             y = row[x]
             if y >= _FORGED:
-                return (position, y - _FORGED, k - 1 - w,
-                        len(rows.windows[w + 1]) // 2)
+                raise ForgedCiphertext(position, y - _FORGED, k - 1 - w,
+                                       len(rows.windows[w + 1]) // 2)
             out.append(y)
             a = x if rows.inverse else y
         symbols = out
-    return None
+    return symbols
 
 
-def _passes(rows: FrameRows, leaders, symbols) -> list:
-    """Run `symbols` through every level of a frame's rows in one pass of
-    rows.loop, each level starting from its leader in walk order."""
-    return rows.loop(rows.rows, [*map(list.__getitem__, rows.starts, leaders)],
-                     symbols)
-
-
-def walk(rows: FrameRows, leaders, symbols) -> list:
-    """`symbols` run through a frame's rows in one pass of rows.loop, each
-    level starting from its leader in walk order.  An unsliced row's
-    IndexError slices the rows that `symbols` reach and the pass runs
-    again: every row, when `symbols` is at least as long as every level's
-    row count, else the rows first_forged meets.  An IndexError with every
-    reached row sliced is a forged ciphertext's: first_forged names it, and
-    walk raises ForgedCiphertext."""
+def walk(rows: FrameRows, symbols) -> list:
+    """`symbols` run through a frame's rows in one pass of rows.loop.  An
+    unsliced row's IndexError, on an input at least as long as every
+    level's row count, slices every row and the pass runs once more; an
+    IndexError on a shorter input, or on that second pass, hands the input
+    to walk_levels, which slices the rows it meets, raises
+    ForgedCiphertext for a forged one and returns the output otherwise."""
     try:
-        return _passes(rows, leaders, symbols)
+        return rows.loop(rows.rows, rows.states, symbols)
     except IndexError:
         pass
     if len(symbols) >= max(map(len, rows.rows)) and slice_rows(rows):
         try:
-            return _passes(rows, leaders, symbols)
+            return rows.loop(rows.rows, rows.states, symbols)
         except IndexError:
             pass
-    forged = first_forged(rows, leaders, symbols)
-    if forged:
-        raise ForgedCiphertext(*forged)
-    return _passes(rows, leaders, symbols)
+    return walk_levels(rows, symbols)
 
 
 def apply_isotopy(square: LatinSquare, alpha: Permutation, beta: Permutation,

@@ -10,9 +10,10 @@ index changes whenever the authority rotates the nonce.
 
 This module only draws the permutations; latin builds whatever is made
 from them.  The cipher needs no table: frame_rows draws a frame's
-permutations once and hands them to latin, which builds both directions'
-chain rows from them.  It keeps nothing (a derived key holds the pair)
-and checks nothing: its frame is one keying has judged.
+permutations once and hands them, with a key's leaders, to latin, which
+builds both directions' chain rows from them.  It keeps nothing (a derived
+key holds the pair) and checks nothing: its frame and key are ones keying
+has judged.
 get_quasigroup has latin apply the isotopy to its base square, for the API,
 and keeps no table; it judges its own arguments, which come from outside.
 
@@ -321,12 +322,13 @@ def get_quasigroup(profile: NetworkProfile, order: int, index: int,
     return apply_isotopy(base_square(order), *map(Permutation, isotopy))
 
 
-def frame_rows(profile: NetworkProfile, orders: tuple, indices,
-               nonce: int) -> tuple[FrameRows, FrameRows]:
-    """The chain rows of a frame that keying has judged, its levels' orders
-    and indices given level 1 first: (latin.chain_rows, latin.unchain_rows),
-    both built from one draw of the levels' permutations, one batch per
-    order.  Nothing is checked here, neither a table nor its inverse is
+def frame_rows(profile: NetworkProfile, orders: tuple, indices, nonce: int,
+               leaders) -> tuple[FrameRows, FrameRows]:
+    """The chain rows of a frame and key that keying has judged, the
+    levels' orders, indices and leaders given level 1 first:
+    (latin.chain_rows, latin.unchain_rows), both built from one draw of the
+    levels' permutations, one batch per order, and started from the
+    leaders.  Nothing is checked here, neither a table nor its inverse is
     built, and nothing is kept: the caller holds the pair, whose rows are
     sliced in place when a message first reaches them.
     """
@@ -336,4 +338,4 @@ def frame_rows(profile: NetworkProfile, orders: tuple, indices,
     drawn = {order: iter(_isotopy(profile.db_seed, order, group, nonce))
              for order, group in levels.items()}
     isotopies = [next(drawn[order]) for order in orders]
-    return chain_rows(isotopies), unchain_rows(isotopies)
+    return chain_rows(isotopies, leaders), unchain_rows(isotopies, leaders)

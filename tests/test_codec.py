@@ -537,6 +537,67 @@ def test_forged_ciphertext_is_a_qgerror(profile):
     assert err.value.order == frame.r
 
 
+def _spy_walks(key, monkeypatch) -> list:
+    """Count the runs of the derived key's compiled loops, both directions,
+    and of latin.walk_levels, as [loop runs, level walks]: the key's rows
+    go back on the key with each loop wrapped."""
+    runs = [0, 0]
+
+    def counted(run, i):
+        def spy(*args):
+            runs[i] += 1
+            return run(*args)
+        return spy
+    vars(key)["_own_rows"] = tuple(rows._replace(loop=counted(rows.loop, 0))
+                                   for rows in key._own_rows)
+    monkeypatch.setattr(qg.latin, "walk_levels", counted(qg.latin.walk_levels, 1))
+    return runs
+
+
+def test_a_round_trip_runs_one_pass_a_direction(profile, monkeypatch):
+    # A cold 9-symbol message under the seed-7 frame (52 to 172 rows a
+    # level) meets an unsliced row in the compiled pass, and the level walk
+    # that slices the rows it meets yields the output: one pass and one
+    # level walk a direction.  Warm, the pass alone.
+    frame, key = _material(profile)      # a fresh key: cold rows
+    runs = _spy_walks(key, monkeypatch)
+    plain = qg.text_to_symbols("STATUS OK")
+    for cold in (True, False):
+        cipher = qg.encrypt(profile, frame, key, plain)
+        assert runs == ([1, 1] if cold else [3, 2])
+        assert qg.decrypt(profile, frame, key, cipher).symbols == plain.symbols
+        assert runs == ([2, 2] if cold else [4, 2])
+
+
+def test_rows_belong_to_the_key_whose_leaders_built_them(profile):
+    # Rows are started from the leaders of the key that built them: a key
+    # with other multipliers, replaced from a derived key (which resets its
+    # source) or built by hand, walks from its own leaders, as k single
+    # level steps do.
+    frame, key = _material(profile)
+    plain = qg.text_to_symbols("ATTACK AT DAWN")
+    cipher = qg.encrypt(profile, frame, key, plain)   # the derived key's rows
+    other = tuple(q % n + 1 for q, n in zip(key.multipliers, key.level_orders))
+    levels = [(qg.get_quasigroup(profile, order, index, frame.nonce), q)
+              for order, index, q in zip(key.level_orders, frame.indices, other)]
+    want = plain
+    for square, q in levels:
+        want = qg.encrypt_level(square, q, want)
+    assert want.symbols != cipher.symbols
+    undone, forged = _levels_undone(levels, cipher)
+    for swapped in (dataclasses.replace(key, multipliers=other),
+                    qg.HiddenKey(other, key.level_orders)):
+        assert swapped.source is None
+        assert qg.encrypt(profile, frame, swapped, plain).symbols == want.symbols
+        assert qg.decrypt(profile, frame, swapped, want).symbols == plain.symbols
+        try:
+            got = qg.decrypt(profile, frame, swapped, cipher)
+        except ForgedCiphertext as exc:
+            assert (exc.position, exc.symbol, exc.level, exc.order) == forged
+        else:
+            assert forged is None and got.symbols == undone.symbols
+
+
 @pytest.mark.parametrize("length", [8, 400], ids=["short", "long"])
 def test_a_forged_ciphertext_on_sliced_rows_runs_the_passes_once(
         profile, monkeypatch, length):
@@ -547,12 +608,10 @@ def test_a_forged_ciphertext_on_sliced_rows_runs_the_passes_once(
                                        * 50)[:length])
     with pytest.raises(ForgedCiphertext):
         qg.decrypt(profile, frame, key, forged)
-    passes, run = [], qg.latin._passes
-    monkeypatch.setattr(qg.latin, "_passes",
-                        lambda *args: passes.append(args) or run(*args))
+    runs = _spy_walks(key, monkeypatch)
     with pytest.raises(ForgedCiphertext) as err:
         qg.decrypt(profile, frame, key, forged)
-    assert len(passes) == 1
+    assert runs == [1, 1]
     assert (err.value.position, err.value.level) == (1, profile.split)
     assert err.value.order == frame.r
 

@@ -359,16 +359,16 @@ def test_one_pass_walk_matches_k_single_level_steps(data):
     isotopies, leaders = data.draw(_isotopies())
     squares = [qg.apply_isotopy(qg.base_square(len(iso[0])),
                                 *map(qg.Permutation, iso)) for iso in isotopies]
-    encrypt_rows = latin.chain_rows(isotopies)
-    decrypt_rows = latin.unchain_rows(isotopies)
+    encrypt_rows = latin.chain_rows(isotopies, leaders)
+    decrypt_rows = latin.unchain_rows(isotopies, leaders)
     plain = qg.SymbolStream(squares[0].order, data.draw(
         st.lists(st.integers(1, squares[0].order), max_size=30)))
     want = plain
     for square, q in zip(squares, leaders):
         want = qg.encrypt_level(square, q, want)
     for _ in range(2):
-        assert latin.walk(encrypt_rows, leaders, plain.symbols) == [*want]
-        assert latin.walk(decrypt_rows, leaders[::-1], want.symbols) == [*plain]
+        assert latin.walk(encrypt_rows, plain.symbols) == [*want]
+        assert latin.walk(decrypt_rows, want.symbols) == [*plain]
 
     cipher = qg.SymbolStream(squares[-1].order, data.draw(
         st.lists(st.integers(1, squares[-1].order), max_size=30)))
@@ -382,7 +382,7 @@ def test_one_pass_walk_matches_k_single_level_steps(data):
         want = qg.decrypt_level(square, q, want)
     for _ in range(2):
         try:
-            got = latin.walk(decrypt_rows, leaders[::-1], cipher.symbols)
+            got = latin.walk(decrypt_rows, cipher.symbols)
         except ForgedCiphertext as exc:
             assert (exc.position, exc.symbol, exc.level, exc.order) == forged
         else:
@@ -390,10 +390,10 @@ def test_one_pass_walk_matches_k_single_level_steps(data):
 
 
 def test_a_frame_carries_the_loop_of_its_level_count():
-    isotopies = [((2, 1, 3), (3, 1, 2), (1, 3, 2))] * 3
-    assert latin.chain_rows(isotopies).loop is latin.level_loop(3, False)
-    assert latin.unchain_rows(isotopies).loop is latin.level_loop(3, True)
-    assert len(latin.chain_rows(isotopies).rows) == 3
+    isotopies, leaders = [((2, 1, 3), (3, 1, 2), (1, 3, 2))] * 3, (1, 2, 3)
+    assert latin.chain_rows(isotopies, leaders).loop is latin.level_loop(3, False)
+    assert latin.unchain_rows(isotopies, leaders).loop is latin.level_loop(3, True)
+    assert len(latin.chain_rows(isotopies, leaders).rows) == 3
 
 
 @pytest.mark.parametrize("k", [0, latin.MAX_LEVELS + 1, -1, 2.0, True, "2", None])
@@ -428,8 +428,9 @@ def test_a_compiled_loop_names_only_its_template_identifiers(inverse):
 # --- structure -------------------------------------------------------------------------
 
 def test_only_latin_reads_table_storage():
-    # Row and inverse layouts can change in latin.py alone.
-    private = {"_rows", "_inverse", "_padded"}
+    # Row and inverse layouts can change in latin.py alone: a key's rows
+    # are read through their FrameRows fields nowhere else.
+    private = {"states", "windows", "offsets", "gather", "_inverse", "_padded"}
     readers = {}
     for path in Path(latin.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -443,7 +444,7 @@ def test_only_latin_reads_table_storage():
 
 def test_only_latin_builds_tables_and_walks_rows():
     # The table layout and the frame walk can change in latin.py alone.
-    walkers = {"level_loop", "_LOOP", "_STEPS", "slice_rows", "first_forged",
+    walkers = {"level_loop", "_LOOP", "_STEPS", "slice_rows", "walk_levels",
                "_UNSLICED", "exec", "compile"}
     builders, walking = set(), set()
     for path in Path(latin.__file__).parent.glob("*.py"):
@@ -465,9 +466,9 @@ def test_only_latin_builds_tables_and_walks_rows():
 
 def test_the_passes_read_stream_symbols_with_no_entry_map():
     # level 0's rows are gathered so that stream symbols index them: neither
-    # the passes, their compiled loops nor first_forged maps a stream before
-    # its first level
-    for fn in (latin._passes, latin.first_forged):
+    # walk, its compiled loops nor walk_levels maps a stream before its
+    # first level
+    for fn in (latin.walk, latin.walk_levels):
         assert "entry" not in _names(ast.parse(inspect.getsource(fn)))
     for k in range(1, latin.MAX_LEVELS + 1):
         for inverse in (False, True):

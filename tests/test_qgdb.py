@@ -178,8 +178,8 @@ def test_frame_rows_check_nothing_and_build_no_tuple(profile, monkeypatch):
     assert not hasattr(qg.qgdb, "_check_table")
     assert not _named(qg.qgdb.frame_rows) & {"check_order", "_conforms",
                                              "index_max", "raise"}
-    # a derived key builds its rows once, from the key's orders and the
-    # frame's indices as they are
+    # a derived key builds its rows once, from the key's orders and
+    # multipliers and the frame's indices as they are
     frame = qg.generate_frame(profile, 7)
     key = qg.derive_hidden_key(profile, frame)
     seen, build = [], qg.keying.frame_rows
@@ -187,15 +187,16 @@ def test_frame_rows_check_nothing_and_build_no_tuple(profile, monkeypatch):
                         lambda *args: seen.append(args) or build(*args))
     plain = qg.text_to_symbols("ATTACK AT DAWN")
     qg.decrypt(profile, frame, key, qg.encrypt(profile, frame, key, plain))
-    [(owner, orders, indices, nonce)] = seen
+    [(owner, orders, indices, nonce, leaders)] = seen
     assert owner is profile and nonce == frame.nonce
     assert orders is key.level_orders and indices is frame.indices
+    assert leaders is key.multipliers
     # a list of indices builds the same rows
     listed = qg.qgdb.frame_rows(profile, key.level_orders, list(frame.indices),
-                                frame.nonce)
+                                frame.nonce, key.multipliers)
     for got, own in zip(listed, key._own_rows):
-        assert (got.starts, got.windows, got.offsets, got.inverse) == (
-            own.starts, own.windows, own.offsets, own.inverse)
+        assert (got.states, got.windows, got.offsets, got.inverse) == (
+            own.states, own.windows, own.offsets, own.inverse)
 
 
 def test_table_cache_holds_one_frame_at_the_level_cap(monkeypatch):
